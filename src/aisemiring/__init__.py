@@ -33,6 +33,7 @@ from .deciders import (
     holds_s7,
     holds_s7_0,
     random_identity,
+    syntactic_decider,
 )
 from .derivation import (
     AxiomSet,
@@ -66,10 +67,9 @@ from .terms import (
     filter_content_avoiding,
     filter_content_subset,
     format_word,
+    is_delta,
     is_linear,
-    occurrences,
     substitute,
-    word_length,
 )
 from .witness import (
     ConditionCheck,
@@ -81,79 +81,5 @@ from .witness import (
     check_witness_facts,
     make_witness,
 )
-
-__all__ = [
-    "AxiomSet",
-    "AxiomViolation",
-    "BUILTIN_NAMES",
-    "ChainVerdict",
-    "ConditionCheck",
-    "ConditionReport",
-    "Congruence",
-    "CongruenceViolation",
-    "CrossValReport",
-    "DELTA_VARIABLE_CAP",
-    "DerivationChain",
-    "DerivationStep",
-    "FactCheck",
-    "FiniteSemiring",
-    "Identity",
-    "OddCycleSearch",
-    "ParseError",
-    "SearchBounds",
-    "SearchOutcome",
-    "SizeLimitError",
-    "StepMismatch",
-    "Term",
-    "TermGraph",
-    "Verdict",
-    "WitnessPair",
-    "WitnessReport",
-    "Word",
-    "adjoin_zero",
-    "apply_step",
-    "axioms_from_json",
-    "axioms_to_json",
-    "builtin",
-    "chain_from_json",
-    "chain_to_json",
-    "check_axiom_conditions",
-    "check_witness_facts",
-    "components",
-    "content",
-    "cross_validate",
-    "decompose",
-    "delta_sets",
-    "evaluate",
-    "filter_content_avoiding",
-    "filter_content_subset",
-    "find_isomorphism",
-    "format_word",
-    "holds_bruteforce",
-    "holds_d2",
-    "holds_s0_lift",
-    "holds_s7",
-    "holds_s7_0",
-    "is_isomorphic",
-    "is_linear",
-    "make_witness",
-    "occurrences",
-    "odd_cycle",
-    "parse_identity",
-    "parse_term",
-    "parse_word",
-    "quotient",
-    "random_identity",
-    "search_derivation",
-    "semiring_from_json",
-    "semiring_to_json",
-    "substitute",
-    "tables_from_json",
-    "term_graph",
-    "validate_ai_semiring",
-    "validate_congruence",
-    "verify_chain",
-    "word_length",
-]
 
 __version__ = "0.1.0"

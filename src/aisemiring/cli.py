@@ -17,16 +17,12 @@ from .algebra import (
     FiniteSemiring,
     builtin,
     semiring_from_json,
-    tables_from_json,
-    validate_ai_semiring,
 )
 from .deciders import (
     Verdict,
     cross_validate,
     holds_bruteforce,
-    holds_d2,
-    holds_s7,
-    holds_s7_0,
+    syntactic_decider,
 )
 from .derivation import (
     SearchBounds,
@@ -48,40 +44,37 @@ from .witness import (
 )
 
 
-def _load_semiring(arg: str) -> tuple[FiniteSemiring, str]:
+def _is_file(path: Path) -> bool:
+    """Path.is_file, with names the OS rejects (too long, say) read as no file."""
+    try:
+        return path.is_file()
+    except OSError:
+        return False
+
+
+def _load_semiring(arg: str) -> FiniteSemiring | AxiomViolation:
+    """A builtin by name, else the axiom-checked table of a semiring file."""
     if arg in BUILTIN_NAMES:
-        return builtin(arg), arg
+        return builtin(arg)
     path = Path(arg)
-    if not path.is_file():
+    if not _is_file(path):
         raise ValueError(
             f"unknown semiring {arg!r}: not one of {', '.join(BUILTIN_NAMES)} "
             "and no such file"
         )
-    out = semiring_from_json(path.read_text(encoding="utf-8"))
+    return semiring_from_json(path.read_text(encoding="utf-8"))
+
+
+def _valid_semiring(arg: str) -> FiniteSemiring:
+    out = _load_semiring(arg)
     if isinstance(out, AxiomViolation):
         raise ValueError(f"semiring file {arg}: {out}")
-    return out, arg
-
-
-def _syntactic_decider(name: str):
-    if name == "D2":
-        return holds_d2
-    if name == "S7":
-        return holds_s7
-    if name == "S7_0":
-        return holds_s7_0
-    if name == "trivial":
-        return lambda ident: Verdict(
-            True, reason="the one-element semiring satisfies every identity"
-        )
-    raise ValueError(
-        f"no syntactic decider is defined for semiring {name!r}; use --method oracle"
-    )
+    return out
 
 
 def _identity_arg(value: str, commutative: bool):
     path = Path(value)
-    if path.is_file():
+    if _is_file(path):
         value = path.read_text(encoding="utf-8").strip()
     return parse_identity(value, commutative)
 
@@ -104,13 +97,15 @@ def _verdict_lines(label: str, v: Verdict) -> list[str]:
 
 
 def cmd_check(args) -> int:
-    s, label = _load_semiring(args.semiring)
+    label = args.semiring
+    s = _valid_semiring(label)
+    syntactic = syntactic_decider(label) if args.method in ("syntactic", "both") else None
     ident = _identity_arg(args.identity, args.commutative)
     results: dict[str, Verdict] = {}
     if args.method in ("oracle", "both"):
         results["oracle"] = holds_bruteforce(s, ident)
-    if args.method in ("syntactic", "both"):
-        results["syntactic"] = _syntactic_decider(label)(ident)
+    if syntactic is not None:
+        results["syntactic"] = syntactic(ident)
 
     lines = [f"identity: {ident}", f"semiring: {label}"]
     for name in ("oracle", "syntactic"):
@@ -259,12 +254,7 @@ def cmd_derive_search(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    if args.semiring in BUILTIN_NAMES:
-        s = builtin(args.semiring)
-        out: FiniteSemiring | AxiomViolation = s
-    else:
-        text = Path(args.semiring).read_text(encoding="utf-8")
-        out = validate_ai_semiring(*tables_from_json(text))
+    out = _load_semiring(args.semiring)
     if isinstance(out, AxiomViolation):
         _emit(
             args,
@@ -281,14 +271,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_crossval(args) -> int:
-    if args.semiring not in BUILTIN_NAMES:
-        raise ValueError(
-            f"crossval needs a builtin semiring name, one of {', '.join(BUILTIN_NAMES)}"
-        )
-    s = builtin(args.semiring)
-    syntactic = _syntactic_decider(args.semiring)
+    syntactic = syntactic_decider(args.semiring)
     report = cross_validate(
-        s,
+        _valid_semiring(args.semiring),
         syntactic,
         samples=args.samples,
         seed=args.seed,

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .algebra import FiniteSemiring
+from .algebra import FiniteSemiring, builtin
 from .errors import SizeLimitError
 from .terms import (
     DELTA_VARIABLE_CAP,
@@ -24,7 +24,9 @@ from .terms import (
     content,
     delta_sets,
     filter_content_subset,
+    fold_words,
     format_word,
+    is_delta,
 )
 
 BRUTE_FORCE_CAP = 10**8
@@ -72,19 +74,9 @@ def holds_bruteforce(
     lhs_words = [tuple(index[x] for x in w) for w in ident.lhs.words]
     rhs_words = [tuple(index[x] for x in w) for w in ident.rhs.words]
     add, mul = s.add, s.mul
-
-    def eval_words(words, asg):
-        total = -1
-        for w in words:
-            e = asg[w[0]]
-            for ix in w[1:]:
-                e = mul[e][asg[ix]]
-            total = e if total < 0 else add[total][e]
-        return total
-
     for asg in itertools.product(range(n), repeat=len(variables)):
-        left = eval_words(lhs_words, asg)
-        right = eval_words(rhs_words, asg)
+        left = fold_words(lhs_words, add, mul, asg)
+        right = fold_words(rhs_words, add, mul, asg)
         if left != right:
             witness = {x: s.elements[asg[index[x]]] for x in variables}
             return Verdict(
@@ -101,40 +93,35 @@ def _component_label(base: Term, q) -> str:
     return f"{base} == {base} + {format_word(q)}"
 
 
-def holds_d2(ident: Identity) -> Verdict:
-    """Decide an identity in the 2-element distributive lattice.
-
-    Each component u ≈ u+q holds exactly when some word of u has content
-    within the content of q.
-    """
-    for base, q in components(ident):
-        if not filter_content_subset(base, q):
-            return Verdict(
-                False,
-                reason=(
-                    f"component {_component_label(base, q)}: no word has "
-                    f"content within c({format_word(q)})"
-                ),
-                details={"component": _component_label(base, q)},
-            )
-    return Verdict(True)
-
-
 def holds_s7(ident: Identity, cap: int = DELTA_VARIABLE_CAP) -> Verdict:
     """Decide an identity in S7: contents must match and so must the
-    delta-set families of the two sides."""
+    delta-set families of the two sides. When one side's words contain the
+    other's, as in every D ≈ D+q the S^0 lift hands down, only the smaller
+    side's family is enumerated, then filtered by the extra words."""
     cu, cv = content(ident.lhs), content(ident.rhs)
     if cu != cv:
         return Verdict(
             False,
-            reason="content mismatch between the two sides",
+            reason=(
+                "content mismatch, only on one side: "
+                f"{', '.join(sorted(cu ^ cv))}"
+            ),
             details={
+                "clause": "content",
                 "only_lhs": sorted(cu - cv),
                 "only_rhs": sorted(cv - cu),
             },
         )
-    du = delta_sets(ident.lhs, cap)
-    dv = delta_sets(ident.rhs, cap)
+    wu, wv = ident.lhs.word_set(), ident.rhs.word_set()
+    if wu <= wv:
+        du = delta_sets(ident.lhs, cap)
+        dv = frozenset(z for z in du if is_delta(z, wv - wu))
+    elif wv <= wu:
+        dv = delta_sets(ident.rhs, cap)
+        du = frozenset(z for z in dv if is_delta(z, wu - wv))
+    else:
+        du = delta_sets(ident.lhs, cap)
+        dv = delta_sets(ident.rhs, cap)
     if du != dv:
         separating = min(du ^ dv, key=lambda z: (len(z), sorted(z)))
         return Verdict(
@@ -144,6 +131,7 @@ def holds_s7(ident: Identity, cap: int = DELTA_VARIABLE_CAP) -> Verdict:
                 f"{{{','.join(sorted(separating))}}}"
             ),
             details={
+                "clause": "delta",
                 "separating": sorted(separating),
                 "in_lhs": separating in du,
             },
@@ -159,96 +147,73 @@ def holds_s0_lift(s: FiniteSemiring, base_decider: BaseDecider, ident: Identity)
 
     Each component u ≈ u+q holds in s^0 exactly when the words of u with
     content inside c(q) are nonempty and, writing D for that subset,
-    D ≈ D+q holds in s.
+    D ≈ D+q holds in s. A failure names the component and the clause:
+    empty-cover, or the base verdict's own clause and details (clause
+    "base" with the base verdict embedded when the base gives no clause).
     """
     for base, q in components(ident):
         cover = filter_content_subset(base, q)
         if not cover:
+            label = _component_label(base, q)
             return Verdict(
                 False,
                 reason=(
-                    f"component {_component_label(base, q)}: no word has "
+                    f"component {label}: no word has "
                     f"content within c({format_word(q)})"
                 ),
-                details={
-                    "component": _component_label(base, q),
-                    "clause": "empty-cover",
-                },
+                details={"component": label, "clause": "empty-cover"},
             )
         reduced = Term(cover, base.commutative)
         sub = base_decider(s, Identity(reduced, reduced.add_word(q)))
         if not sub.holds:
+            label = _component_label(base, q)
+            if sub.details and "clause" in sub.details:
+                carried = sub.details
+            else:
+                carried = {"clause": "base", "base": sub.to_dict()}
             return Verdict(
                 False,
                 reason=(
-                    f"component {_component_label(base, q)}: reduced identity "
-                    f"{reduced} == {reduced} + {format_word(q)} fails in the base"
+                    f"component {label}: on the cover {reduced}, "
+                    f"{sub.reason or 'the base decider fails'}"
                 ),
-                details={
-                    "component": _component_label(base, q),
-                    "clause": "base",
-                    "base": sub.to_dict(),
-                },
+                details={"component": label, **carried},
             )
     return Verdict(True)
 
 
-def holds_s7_0(
-    ident: Identity, cap: int = DELTA_VARIABLE_CAP, use_shortcut: bool = True
-) -> Verdict:
-    """Decide an identity in S7_0 by the three-clause component criterion:
-    nonempty content cover, cover content equal to c(q), and equal
-    delta-set families of the cover with and without q.
+_S7 = builtin("S7")
+_TRIVIAL = builtin("trivial")
 
-    The shortcut path (component base has full content c(q) and empty
-    delta family implies the component holds) is an optimization; both
-    paths agree and use_shortcut=False forces the long one.
-    """
-    for base, q in components(ident):
-        if (
-            use_shortcut
-            and content(base) == frozenset(q)
-            and not delta_sets(base, cap)
-        ):
-            continue
-        label = _component_label(base, q)
-        cover = filter_content_subset(base, q)
-        if not cover:
-            return Verdict(
-                False,
-                reason=f"component {label}: no word has content within c({format_word(q)})",
-                details={"component": label, "clause": "empty-cover"},
-            )
-        covered = Term(cover, base.commutative)
-        if content(covered) != frozenset(q):
-            missing = sorted(frozenset(q) - content(covered))
-            return Verdict(
-                False,
-                reason=(
-                    f"component {label}: cover misses variables "
-                    f"{', '.join(missing)} of the added word"
-                ),
-                details={"component": label, "clause": "content", "missing": missing},
-            )
-        d_with = delta_sets(covered.add_word(q), cap)
-        d_without = delta_sets(covered, cap)
-        if d_without != d_with:
-            separating = min(
-                d_without ^ d_with, key=lambda z: (len(z), sorted(z))
-            )
-            return Verdict(
-                False,
-                reason=(
-                    f"component {label}: delta-set mismatch on the cover, "
-                    f"separating set {{{','.join(sorted(separating))}}}"
-                ),
-                details={
-                    "component": label,
-                    "clause": "delta",
-                    "separating": sorted(separating),
-                },
-            )
-    return Verdict(True)
+
+def holds_d2(ident: Identity) -> Verdict:
+    """Decide an identity in the 2-element distributive lattice, the
+    zero-adjunction of the trivial semiring: each component u ≈ u+q holds
+    exactly when some word of u has content within the content of q."""
+    return holds_s0_lift(_TRIVIAL, lambda s, i: Verdict(True), ident)
+
+
+def holds_s7_0(ident: Identity, cap: int = DELTA_VARIABLE_CAP) -> Verdict:
+    """Decide an identity in S7_0 as the zero-adjunction of S7: per
+    component, a nonempty content cover, then cover content equal to c(q)
+    and equal delta-set families of the cover with and without q."""
+    return holds_s0_lift(_S7, lambda s, i: holds_s7(i, cap), ident)
+
+
+def _holds_trivial(ident: Identity) -> Verdict:
+    return Verdict(True, reason="the one-element semiring satisfies every identity")
+
+
+def syntactic_decider(name: str) -> Callable[[Identity], Verdict]:
+    """The syntactic decider for a builtin semiring name. The table is built
+    per call so that it holds the module's current bindings of the deciders."""
+    table = {"D2": holds_d2, "S7": holds_s7, "S7_0": holds_s7_0, "trivial": _holds_trivial}
+    if name not in table:
+        raise ValueError(
+            f"no syntactic decider is defined for semiring {name!r}; "
+            f"the builtin names {', '.join(table)} have one"
+        )
+    return table[name]
 
 
 def random_identity(

@@ -9,7 +9,8 @@
 Factors are joined with an explicit "*" since multi-character variable
 names make implicit juxtaposition ambiguous. "^k" expands to k-fold
 repetition at parse time; the core never stores exponents. Whitespace is
-insignificant.
+insignificant. A word, exponents expanded, has at most MAX_WORD_LENGTH
+letters; longer ones are rejected with a ParseError.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import re
 from dataclasses import dataclass
 
 from .terms import Identity, Term, Word
+
+MAX_WORD_LENGTH = 10_000
 
 
 class ParseError(ValueError):
@@ -100,20 +103,28 @@ class _Parser:
             if etok.kind != "int":
                 self.fail("expected an integer exponent after '^'")
             self.advance()
-            exponent = int(etok.text)
+            # count digits before int(), which refuses strings of over 4300
+            digits = etok.text.lstrip("0") or "0"
+            if len(digits) > len(str(MAX_WORD_LENGTH)):
+                digits = str(MAX_WORD_LENGTH + 1)
+            exponent = int(digits)
             if exponent < 1:
                 raise ParseError("exponent must be positive", etok.line, etok.column)
         return tok.text, exponent
 
     def parse_word(self) -> Word:
         letters = []
-        name, k = self.parse_factor()
-        letters.extend([name] * k)
-        while self.peek().kind == "op" and self.peek().text == "*":
-            self.advance()
+        while True:
+            tok = self.peek()
             name, k = self.parse_factor()
+            if len(letters) + k > MAX_WORD_LENGTH:
+                raise ParseError(
+                    f"word longer than {MAX_WORD_LENGTH} letters", tok.line, tok.column
+                )
             letters.extend([name] * k)
-        return tuple(letters)
+            if not (self.peek().kind == "op" and self.peek().text == "*"):
+                return tuple(letters)
+            self.advance()
 
     def parse_term_words(self) -> list[Word]:
         words = [self.parse_word()]

@@ -147,15 +147,6 @@ def content(t: Term | Word) -> frozenset[str]:
     return frozenset(t)
 
 
-def occurrences(x: str, w: Word) -> int:
-    """Multiplicity of variable x in word w."""
-    return w.count(x)
-
-
-def word_length(w: Word) -> int:
-    return len(w)
-
-
 def is_linear(w: Word) -> bool:
     """True iff every variable of w occurs exactly once."""
     return len(set(w)) == len(w)
@@ -190,6 +181,19 @@ def delta_sets(
             else:
                 found.append(z)
     return frozenset(found)
+
+
+def is_delta(z: frozenset[str], words: Iterable[Word]) -> bool:
+    """True iff z meets every word in exactly one once-occurring letter.
+
+    A delta set of u is a delta set of u+v exactly when it also passes this
+    test on the words of v, provided u and u+v have the same content.
+    """
+    for w in words:
+        hit = z.intersection(w)
+        if len(hit) != 1 or w.count(next(iter(hit))) != 1:
+            return False
+    return True
 
 
 def filter_content_subset(u: Term, q: Word) -> frozenset[Word]:
@@ -235,14 +239,20 @@ def evaluate(t: Term, s: FiniteSemiring, asg: Assignment) -> str:
     if missing:
         raise ValueError(f"assignment does not cover variables: {', '.join(missing)}")
     values = {x: s.index_of(asg[x]) for x in content(t)}
-    add, mul = s.add, s.mul
+    return s.elements[fold_words(t.words, s.add, s.mul, values)]
+
+
+def fold_words(words, add, mul, values) -> int:
+    """Evaluate a sum of words in Cayley tables by element index: values maps
+    each letter (a name or a position) to an index, words multiply left to
+    right and addition folds over the words. Returns the element index."""
     total = -1
-    for w in t.words:
+    for w in words:
         e = values[w[0]]
         for x in w[1:]:
             e = mul[e][values[x]]
         total = e if total < 0 else add[total][e]
-    return s.elements[total]
+    return total
 
 
 def components(ident: Identity) -> list[tuple[Term, Word]]:

@@ -115,6 +115,42 @@ class TestCheck:
         assert code == 2
         assert "no syntactic decider" in err
 
+    def test_missing_decider_fails_before_oracle(self, capsys, tmp_path, monkeypatch):
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("the oracle ran")
+
+        monkeypatch.setattr("aisemiring.cli.holds_bruteforce", no_oracle)
+        path = tmp_path / "s7_0.json"
+        path.write_text(semiring_to_json(builtin("S7_0")), encoding="utf-8")
+        code, _, err = run(
+            capsys,
+            "check",
+            "--semiring",
+            str(path),
+            "--identity",
+            "x*y == y*x",
+            "--method",
+            "both",
+        )
+        assert code == 2
+        assert "no syntactic decider" in err
+
+    def test_inline_identity_longer_than_a_file_name(self, capsys):
+        word = "*".join(["x", "y"] * 70)
+        assert len(word) > 255
+        code, out, _ = run(
+            capsys, "check", "--semiring", "S7", "--identity", f"{word} + y == y + {word}"
+        )
+        assert code == 0
+        assert "oracle: holds" in out
+
+    def test_huge_exponent_exits_two(self, capsys):
+        code, _, err = run(
+            capsys, "check", "--semiring", "S7", "--identity", "x^3000000 == x"
+        )
+        assert code == 2
+        assert "longer than" in err
+
 
 class TestDelta:
     def test_spec_shape(self, capsys):
@@ -173,6 +209,15 @@ class TestAxiomCheck:
         )
         assert code == 0
         assert "every variable covered: yes" in out
+        assert "B within A: yes" in out
+
+    def test_inline_identity_longer_than_a_file_name(self, capsys):
+        lhs = " + ".join(["x1*x2", "x2*x3"] * 30)
+        assert len(lhs) > 255
+        code, out, _ = run(
+            capsys, "axiom-check", "--identity", f"{lhs} == x1*x2", "--commutative"
+        )
+        assert code == 0
         assert "B within A: yes" in out
 
 

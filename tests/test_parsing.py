@@ -10,6 +10,7 @@ from aisemiring import (
     parse_term,
     parse_word,
 )
+from aisemiring.parsing import MAX_WORD_LENGTH
 
 NAMES = ("x", "y", "x1", "x10", "long_name")
 
@@ -85,6 +86,18 @@ class TestRejections:
     def test_identity_needs_relation(self):
         with pytest.raises(ParseError):
             parse_identity("x + y")
+
+    def test_word_length_bound(self):
+        assert len(parse_word(f"x^{MAX_WORD_LENGTH}")) == MAX_WORD_LENGTH
+        for bad in (
+            "x^3000000",
+            "x^" + "9" * 5000,
+            f"x^{MAX_WORD_LENGTH + 1}",
+            f"x^{MAX_WORD_LENGTH}*y",
+            "*".join(["x"] * (MAX_WORD_LENGTH + 1)),
+        ):
+            with pytest.raises(ParseError, match=f"longer than {MAX_WORD_LENGTH}"):
+                parse_identity(f"y == {bad}")
 
     def test_error_reports_position(self):
         with pytest.raises(ParseError, match=r"line 1, column 5"):

@@ -20,10 +20,8 @@ from aisemiring import (
     format_word,
     holds_bruteforce,
     is_linear,
-    occurrences,
     random_identity,
     substitute,
-    word_length,
 )
 
 VARS = ("x", "y", "z")
@@ -97,12 +95,6 @@ class TestStatistics:
         t = Term([("x", "x"), ("y",)])
         assert content(t) == {"x", "y"}
         assert content(("x", "z", "x")) == {"x", "z"}
-
-    def test_occurrences_and_length(self):
-        w = ("x", "y", "x")
-        assert occurrences("x", w) == 2
-        assert occurrences("z", w) == 0
-        assert word_length(w) == 3
 
     def test_is_linear(self):
         assert is_linear(("x", "y", "z"))
