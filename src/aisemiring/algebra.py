@@ -8,6 +8,7 @@ tables are row-major with the row as the left operand.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -278,8 +279,10 @@ _S7_0_MUL = (
 BUILTIN_NAMES = ("S7", "S7_0", "D2", "trivial")
 
 
+@functools.cache
 def builtin(name: str) -> FiniteSemiring:
-    """Return a named built-in algebra: S7, S7_0, D2 or trivial."""
+    """Return a named built-in algebra: S7, S7_0, D2 or trivial. Each table
+    is validated once per process; the result is frozen, so it is shared."""
     if name == "S7":
         tables = (_S7_ELEMENTS, _S7_ADD, _S7_MUL)
     elif name == "S7_0":

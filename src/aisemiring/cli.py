@@ -7,6 +7,7 @@ fixed inputs and seed; --json mirrors the text reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -300,7 +301,10 @@ def cmd_crossval(args) -> int:
     return 0 if report.ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parse_args keeps no state
+    between calls, each call fills a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="aisemiring",
         description="Decide identities in finite additively idempotent semirings.",

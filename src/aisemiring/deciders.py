@@ -1,15 +1,14 @@
 """Identity deciders: a brute-force oracle plus syntactic criteria.
 
-The oracle works for any finite semiring by enumerating assignments. The
-syntactic deciders settle identities in D2, S7, any zero-adjunction S^0
-(relative to a decider for S), and S7_0 without evaluating a single
-assignment; cross_validate checks the two routes against each other on
-randomly generated identities.
+The oracle works for any finite ai-semiring by a depth-first search over
+assignments. The syntactic deciders settle identities in D2, S7, any
+zero-adjunction S^0 (relative to a decider for S), and S7_0 without
+evaluating a single assignment; cross_validate checks the two routes
+against each other on randomly generated identities.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 from typing import Callable
@@ -55,38 +54,94 @@ class Verdict:
 def holds_bruteforce(
     s: FiniteSemiring, ident: Identity, cap: int = BRUTE_FORCE_CAP
 ) -> Verdict:
-    """Decide an identity by evaluating every assignment into s.
+    """Decide an identity by evaluating it under assignments into s.
 
-    Assignments are enumerated as a mixed-radix counter over the variables
-    sorted by name (last variable least significant), digits running in
-    element order, so the falsifying witness is deterministic.
+    A depth-first search assigns the variables sorted by name, first
+    variable outermost, each running through the elements in order, so
+    the leaves come in mixed-radix order (last variable least significant)
+    and the falsifying witness is deterministic. A word joins its side's
+    running sum once its last variable is assigned. A subtree where both
+    running sums have reached the additive top, the sum of all elements,
+    is skipped: the top absorbs every element, so both sides evaluate to
+    it at every leaf below, and the first falsifying leaf is that of a
+    full scan. s must satisfy the ai-semiring laws, as every loader checks;
+    a commutative-mode identity also needs a commutative multiplication.
     """
-    variables = sorted(content(ident.lhs) | content(ident.rhs))
-    n = s.size
-    total = n ** len(variables)
+    if ident.commutative and s.mul != tuple(zip(*s.mul)):
+        a, b = next(
+            (a, b) for a in s.elements for b in s.elements
+            if s.mul_named(a, b) != s.mul_named(b, a)
+        )
+        raise ValueError(
+            "a commutative-mode identity needs a commutative multiplication, "
+            f"but {a}*{b} != {b}*{a}"
+        )
+    variables = sorted(set().union(*ident.lhs.words, *ident.rhs.words))
+    n, k = s.size, len(variables)
+    total = n**k
     if total > cap:
         raise SizeLimitError(
             f"brute force needs {total} assignments, cap is {cap}"
         )
-    if ident.lhs.word_set() == ident.rhs.word_set():
+    if ident.is_trivial():
         return Verdict(True)
-    index = {x: i for i, x in enumerate(variables)}
-    lhs_words = [tuple(index[x] for x in w) for w in ident.lhs.words]
-    rhs_words = [tuple(index[x] for x in w) for w in ident.rhs.words]
+    index = {x: i for i, x in enumerate(variables)}.__getitem__
+    # ends[d]: a side's words whose last variable in the order is variables[d]
+    ends_lhs: list[list] = [[] for _ in variables]
+    ends_rhs: list[list] = [[] for _ in variables]
+    for side, ends in ((ident.lhs, ends_lhs), (ident.rhs, ends_rhs)):
+        for w in side.words:
+            w = tuple(map(index, w))
+            ends[max(w)].append(w)
     add, mul = s.add, s.mul
-    for asg in itertools.product(range(n), repeat=len(variables)):
-        left = fold_words(lhs_words, add, mul, asg)
-        right = fold_words(rhs_words, add, mul, asg)
-        if left != right:
-            witness = {x: s.elements[asg[index[x]]] for x in variables}
-            return Verdict(
-                False,
-                witness=witness,
-                reason=(
-                    f"sides evaluate to {s.elements[left]} and {s.elements[right]}"
-                ),
-            )
-    return Verdict(True)
+    top = 0
+    for e in range(n):
+        top = add[top][e]
+    last = k - 1
+    leaf_lhs, leaf_rhs = ends_lhs[last], ends_rhs[last]
+    asg = [0] * k
+    # sums[d]: a side's running sum over the words ending above depth d
+    lhs_sums = [-1] * k
+    rhs_sums = [-1] * k
+    d = 0
+    while True:
+        left, right = lhs_sums[d], rhs_sums[d]
+        if d < last:
+            if ends_lhs[d]:
+                left = fold_words(ends_lhs[d], add, mul, asg, left)
+            if ends_rhs[d]:
+                right = fold_words(ends_rhs[d], add, mul, asg, right)
+            if left != top or right != top:
+                d += 1
+                lhs_sums[d], rhs_sums[d] = left, right
+                continue
+        else:
+            # the leaves: all n digits of the last variable in one loop
+            if left != top or right != top:
+                for e in range(n):
+                    asg[d] = e
+                    if leaf_lhs:
+                        left = fold_words(leaf_lhs, add, mul, asg, lhs_sums[d])
+                    if leaf_rhs:
+                        right = fold_words(leaf_rhs, add, mul, asg, rhs_sums[d])
+                    if left != right:
+                        witness = {x: s.elements[asg[i]] for i, x in enumerate(variables)}
+                        return Verdict(
+                            False,
+                            witness=witness,
+                            reason=(
+                                f"sides evaluate to {s.elements[left]} "
+                                f"and {s.elements[right]}"
+                            ),
+                        )
+            asg[d] = n - 1
+        # next sibling, backing up over exhausted digits
+        while asg[d] == n - 1:
+            asg[d] = 0
+            if d == 0:
+                return Verdict(True)
+            d -= 1
+        asg[d] += 1
 
 
 def _component_label(base: Term, q) -> str:

@@ -242,11 +242,12 @@ def evaluate(t: Term, s: FiniteSemiring, asg: Assignment) -> str:
     return s.elements[fold_words(t.words, s.add, s.mul, values)]
 
 
-def fold_words(words, add, mul, values) -> int:
+def fold_words(words, add, mul, values, total: int = -1) -> int:
     """Evaluate a sum of words in Cayley tables by element index: values maps
     each letter (a name or a position) to an index, words multiply left to
-    right and addition folds over the words. Returns the element index."""
-    total = -1
+    right and addition folds over the words, starting from the index total
+    (-1 for an empty sum). Returns the element index, total if words is
+    empty."""
     for w in words:
         e = values[w[0]]
         for x in w[1:]:

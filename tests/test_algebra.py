@@ -80,6 +80,15 @@ class TestBuiltins:
         with pytest.raises(ValueError, match="unknown builtin"):
             builtin("S8")
 
+    def test_builtin_is_built_once(self):
+        assert builtin("S7") is builtin("S7")
+        assert builtin("S7_0") is not builtin("S7")
+
+    def test_unknown_name_raises_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="unknown builtin"):
+                builtin("S8")
+
 
 class TestValidation:
     def test_valid_tables_round(self):

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from aisemiring import builtin, semiring_to_json
-from aisemiring.cli import main
+from aisemiring.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -150,6 +150,42 @@ class TestCheck:
         )
         assert code == 2
         assert "longer than" in err
+
+
+    def test_commutative_identity_over_noncommutative_table(self, capsys, tmp_path):
+        # + is max and x*y = x: a valid ai-semiring whose product does not commute
+        path = tmp_path / "left_zero.json"
+        path.write_text(
+            json.dumps(
+                {"elements": ["p", "q"], "add": [["p", "q"], ["q", "q"]], "mul": [["p", "p"], ["q", "q"]]}
+            ),
+            encoding="utf-8",
+        )
+        code, _, err = run(
+            capsys, "check", "--semiring", str(path), "--identity", "x*y == y*x", "--commutative"
+        )
+        assert code == 2
+        assert "commutative multiplication" in err
+        code, out, _ = run(capsys, "check", "--semiring", str(path), "--identity", "x*y == y*x")
+        assert code == 1
+        assert "witness: x=p, y=q" in out
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_no_parsed_state_leaks_between_calls(self, capsys):
+        code, out, _ = run(
+            capsys, "check", "--commutative", "--json", "--semiring", "S7", "--identity", "y*x == x*y"
+        )
+        assert code == 0
+        assert json.loads(out)["identity"] == "x*y == x*y"
+        code, out, _ = run(capsys, "check", "--semiring", "S7", "--identity", "y*x == x*y")
+        assert code == 0
+        # text, not JSON, and the words kept in the order they were written
+        assert out.splitlines()[0] == "identity: y*x == x*y"
+        assert "method" not in out
 
 
 class TestDelta:

@@ -1,11 +1,13 @@
+import itertools
 import random
-from functools import partial
+from functools import cache, partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aisemiring import (
+    FiniteSemiring,
     Identity,
     SizeLimitError,
     Term,
@@ -24,7 +26,9 @@ from aisemiring import (
     is_delta,
     parse_identity,
     random_identity,
+    validate_ai_semiring,
 )
+from aisemiring.terms import fold_words
 
 S7 = builtin("S7")
 S7_0 = builtin("S7_0")
@@ -105,6 +109,106 @@ class TestBruteForce:
             left = evaluate(ident.lhs, S7_0, v.witness)
             right = evaluate(ident.rhs, S7_0, v.witness)
             assert left != right
+
+
+def _reference_scan(s, ident):
+    """The full scan the depth-first oracle replaced: every assignment in
+    mixed-radix order, variables sorted by name, last one least significant."""
+    variables = sorted(content(ident.lhs) | content(ident.rhs))
+    if ident.lhs.word_set() == ident.rhs.word_set():
+        return Verdict(True)
+    index = {x: i for i, x in enumerate(variables)}
+    lhs_words = [tuple(index[x] for x in w) for w in ident.lhs.words]
+    rhs_words = [tuple(index[x] for x in w) for w in ident.rhs.words]
+    for asg in itertools.product(range(s.size), repeat=len(variables)):
+        left = fold_words(lhs_words, s.add, s.mul, asg)
+        right = fold_words(rhs_words, s.add, s.mul, asg)
+        if left != right:
+            return Verdict(
+                False,
+                witness={x: s.elements[asg[index[x]]] for x in variables},
+                reason=f"sides evaluate to {s.elements[left]} and {s.elements[right]}",
+            )
+    return Verdict(True)
+
+
+def _product(s, t):
+    pairs = [(a, b) for a in range(s.size) for b in range(t.size)]
+
+    def table(op_s, op_t):
+        return [[pairs.index((op_s[a][c], op_t[b][d])) for c, d in pairs] for a, b in pairs]
+
+    out = validate_ai_semiring(
+        [f"{s.elements[a]}.{t.elements[b]}" for a, b in pairs],
+        table(s.add, t.add),
+        table(s.mul, t.mul),
+    )
+    assert isinstance(out, FiniteSemiring), out
+    return out
+
+
+@cache
+def _random_tables() -> tuple[FiniteSemiring, ...]:
+    """Seeded random 2- and 3-element tables that validate_ai_semiring
+    accepts. The 3-element ones draw + from the join-semilattice tables
+    (a random 3x3 addition is almost never one), the product at random."""
+    rng = random.Random(2023)
+    semilattices = []
+    for ab, ac, bc in itertools.product(range(3), repeat=3):
+        add = ((0, ab, ac), (ab, 1, bc), (ac, bc, 2))
+        if all(add[add[a][b]][c] == add[a][add[b][c]] for a, b, c in itertools.product(range(3), repeat=3)):
+            semilattices.append(add)
+    found = {2: [], 3: []}
+    while len(found[2]) < 12 or len(found[3]) < 12:
+        n = rng.choice((2, 3))
+        if n == 2:
+            add = [[rng.randrange(2) for _ in range(2)] for _ in range(2)]
+        else:
+            add = rng.choice(semilattices)
+        mul = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+        out = validate_ai_semiring("pqr"[:n], add, mul)
+        if isinstance(out, FiniteSemiring) and out not in found[n]:
+            found[n].append(out)
+    tables = tuple(found[2] + found[3])
+    kinds = {(s.size, s.mul == tuple(zip(*s.mul))) for s in tables}
+    assert kinds == {(2, True), (2, False), (3, True), (3, False)}
+    return tables
+
+
+def _oracle_algebras() -> list[FiniteSemiring]:
+    named = [builtin(name) for name in ("S7", "S7_0", "D2", "trivial")]
+    return named + [_product(D2, S7)] + list(_random_tables())
+
+
+class TestDepthFirstOracle:
+    """The depth-first oracle against the full scan it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_same_verdict_witness_and_reason_as_full_scan(self, data):
+        algebras = _oracle_algebras()
+        s = data.draw(st.sampled_from(algebras))
+        commutative = s.mul == tuple(zip(*s.mul)) and data.draw(st.booleans())
+        letters = data.draw(st.lists(st.sampled_from("vwxyz"), min_size=1, max_size=5, unique=True))
+        word = st.lists(st.sampled_from(letters), min_size=1, max_size=4)
+        side = st.lists(word, min_size=1, max_size=4)
+        ident = Identity(Term(data.draw(side), commutative), Term(data.draw(side), commutative))
+        new, old = holds_bruteforce(s, ident), _reference_scan(s, ident)
+        assert (new.holds, new.witness, new.reason) == (old.holds, old.witness, old.reason)
+
+    def test_thousands_of_variables_need_no_recursion(self):
+        word = tuple(f"x{i}" for i in range(3000))
+        ident = Identity(Term([word]), Term([word, ("x0",)]))
+        assert holds_bruteforce(builtin("trivial"), ident).holds
+
+    def test_commutative_identity_needs_commutative_product(self):
+        # + is max and x*y = x
+        s = validate_ai_semiring(("p", "q"), ((0, 1), (1, 1)), ((0, 0), (1, 1)))
+        with pytest.raises(ValueError, match="commutative multiplication"):
+            holds_bruteforce(s, parse_identity("x*y == y*x", True))
+        v = holds_bruteforce(s, parse_identity("x*y == y*x"))
+        assert not v.holds
+        assert v.witness == {"x": "p", "y": "q"}
 
 
 class TestLift:
