@@ -55,7 +55,6 @@ from .errors import SizeLimitError
 from .graphs import OddCycleSearch, TermGraph, odd_cycle, term_graph
 from .parsing import ParseError, parse_identity, parse_term, parse_word
 from .terms import (
-    DELTA_VARIABLE_CAP,
     Identity,
     Term,
     Word,
@@ -67,7 +66,6 @@ from .terms import (
     filter_content_avoiding,
     filter_content_subset,
     format_word,
-    is_delta,
     is_linear,
     substitute,
 )

@@ -24,7 +24,9 @@ from .errors import SizeLimitError
 
 Word = tuple[str, ...]
 
-DELTA_VARIABLE_CAP = 20
+# word visits of one delta_sets search: the largest witness, n = 4999, needs
+# 60,000 for u+q; 20 disjoint edges, with 2^20 delta sets, reach it after 41,662
+DELTA_WORK_CAP = 250_000
 
 
 def word_key(w: Word):
@@ -152,48 +154,107 @@ def is_linear(w: Word) -> bool:
     return len(set(w)) == len(w)
 
 
-def delta_sets(
-    u: Term, cap: int = DELTA_VARIABLE_CAP
-) -> frozenset[frozenset[str]]:
+def delta_sets(u: Term) -> frozenset[frozenset[str]]:
     """Variable sets meeting every word of u in exactly one once-occurring letter.
 
-    Enumerates the nonempty subsets Z of the term's content and keeps Z iff
-    for every word w of u the intersection Z ∩ c(w) is a single variable x
-    with exactly one occurrence in w. Enumeration is capped by the number
-    of distinct variables.
+    Such a set Z is an exact cover of the words of u by letters, a letter
+    covering the words it occurs in; a letter occurring twice in some word
+    is in no Z. An iterative Algorithm X (Knuth, "Dancing Links") branches
+    on the open word with the fewest letters left. Choosing a letter covers
+    its words and bans the other letters of those words, updating the
+    letter counts of the words they occur in, so a forced chain such as an
+    odd cycle costs linear work. Each word covered or recounted is one
+    word visit; past DELTA_WORK_CAP visits the search raises SizeLimitError.
     """
-    variables = sorted(content(u))
-    if len(variables) > cap:
-        raise SizeLimitError(
-            f"delta enumeration capped at {cap} variables, term has {len(variables)}"
-        )
-    words = [(frozenset(w), Counter(w)) for w in u.words]
-    found = []
-    for size in range(1, len(variables) + 1):
-        for combo in itertools.combinations(variables, size):
-            z = frozenset(combo)
-            for wset, wcount in words:
-                hit = z & wset
-                if len(hit) != 1:
-                    break
-                if wcount[next(iter(hit))] != 1:
-                    break
+    words = u.words
+    where: dict[str, list[int]] = {}  # letter -> the words it occurs in, once each
+    banned = set()
+    for i, w in enumerate(words):
+        for x, k in Counter(w).items():
+            if k > 1:
+                banned.add(x)
             else:
-                found.append(z)
-    return frozenset(found)
+                where.setdefault(x, []).append(i)
+    for x in banned:
+        where.pop(x, None)
+    available = set(where)
+    left = [sum(x in available for x in w) for w in words]  # letters still available
+    by_left = [set() for _ in range(max(left) + 1)]  # open words by letters left
+    for i, c in enumerate(left):
+        by_left[c].add(i)
+    covered = [False] * len(words)
+    open_words = len(words)
+    work = 0
 
+    def choose(x: str) -> list[str]:
+        nonlocal open_words, work
+        for i in where[x]:
+            by_left[left[i]].remove(i)
+            covered[i] = True
+        open_words -= len(where[x])
+        work += len(where[x])
+        gone = []
+        for i in where[x]:
+            for y in words[i]:
+                if y in available:
+                    available.remove(y)
+                    gone.append(y)
+                    for j in where[y]:
+                        if not covered[j]:
+                            by_left[left[j]].remove(j)
+                            by_left[left[j] - 1].add(j)
+                        left[j] -= 1
+                    work += len(where[y])
+        if work > DELTA_WORK_CAP:
+            raise SizeLimitError(
+                f"delta search capped at {DELTA_WORK_CAP} word visits, "
+                f"term has {len(words)} words"
+            )
+        return gone
 
-def is_delta(z: frozenset[str], words: Iterable[Word]) -> bool:
-    """True iff z meets every word in exactly one once-occurring letter.
+    def undo(x: str, gone: list[str]) -> None:
+        nonlocal open_words
+        for y in reversed(gone):
+            available.add(y)
+            for j in where[y]:
+                left[j] += 1
+                if not covered[j]:
+                    by_left[left[j] - 1].remove(j)
+                    by_left[left[j]].add(j)
+        for i in where[x]:
+            covered[i] = False
+            by_left[left[i]].add(i)
+        open_words += len(where[x])
 
-    A delta set of u is a delta set of u+v exactly when it also passes this
-    test on the words of v, provided u and u+v have the same content.
-    """
-    for w in words:
-        hit = z.intersection(w)
-        if len(hit) != 1 or w.count(next(iter(hit))) != 1:
-            return False
-    return True
+    found = []
+    chosen: list[str] = []
+    # one frame per branched word: its letters, the next one to try, and
+    # the letters the current choice banned (None before the first choice)
+    frames: list[list] = []
+    while True:
+        if not open_words:
+            found.append(tuple(chosen))
+        else:
+            c = next(c for c, b in enumerate(by_left) if b)
+            if c:
+                i = next(iter(by_left[c]))
+                frames.append([[y for y in words[i] if y in available], 0, None])
+        # take the next untried letter, backing up over exhausted words
+        while frames:
+            frame = frames[-1]
+            if frame[2] is not None:
+                undo(chosen.pop(), frame[2])
+                frame[2] = None
+            if frame[1] == len(frame[0]):
+                frames.pop()
+                continue
+            x = frame[0][frame[1]]
+            frame[1] += 1
+            chosen.append(x)
+            frame[2] = choose(x)
+            break
+        else:
+            return frozenset(map(frozenset, found))
 
 
 def filter_content_subset(u: Term, q: Word) -> frozenset[Word]:

@@ -132,7 +132,7 @@ def test_criterion_2_separating_identities():
 def test_criterion_3_witness_family():
     t0 = time.perf_counter()
 
-    for n in range(1, 9):
+    for n in range(1, 13):
         report = check_witness_facts(make_witness(n))
         assert report.ok, report.to_dict()
         for name in ("contents-equal", "delta-empty", "odd-cycle", "syntactic"):

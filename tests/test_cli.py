@@ -152,6 +152,18 @@ class TestCheck:
         assert "longer than" in err
 
 
+    def test_oracle_cap_with_a_huge_assignment_count(self, capsys, tmp_path):
+        # 4^7200 has over 4,300 digits, past what str() of an int allows
+        side = " + ".join(f"v{i}" for i in range(7200))
+        path = tmp_path / "wide.txt"
+        path.write_text(f"{side} == {side} + v0*v1\n")
+        code, out, err = run(
+            capsys, "check", "--semiring", "S7_0", "--method", "oracle", "--identity", str(path)
+        )
+        assert code == 2
+        assert not out
+        assert "4^7200" in err and "cap" in err
+
     def test_commutative_identity_over_noncommutative_table(self, capsys, tmp_path):
         # + is max and x*y = x: a valid ai-semiring whose product does not commute
         path = tmp_path / "left_zero.json"
@@ -203,6 +215,14 @@ class TestDelta:
         _, out, _ = run(capsys, "delta", "--term", "x*y + y*z", "--json")
         assert json.loads(out)["delta"] == [["y"], ["x", "z"]]
 
+    def test_work_bound_exits_two(self, capsys):
+        # 20 disjoint edges: 2^20 delta sets
+        term = " + ".join(f"a{i}*b{i}" for i in range(20))
+        code, out, err = run(capsys, "delta", "--term", term)
+        assert code == 2
+        assert not out
+        assert "cap" in err
+
 
 class TestWitness:
     def test_n2_with_oracle(self, capsys):
@@ -221,6 +241,19 @@ class TestWitness:
         code, _, err = run(capsys, "witness", "--n", "0")
         assert code == 2
         assert "at least 1" in err
+
+    def test_n_bounded_by_word_length(self, capsys):
+        code, out, err = run(capsys, "witness", "--n", "5000")
+        assert code == 2
+        assert not out
+        assert "at most 4999" in err
+
+    def test_largest_n_decides_every_syntactic_fact(self, capsys):
+        code, out, _ = run(capsys, "witness", "--n", "4999")
+        assert code == 0
+        for name in ("contents-equal", "delta-empty", "odd-cycle", "syntactic"):
+            assert f"{name}: pass" in out
+        assert "oracle: skipped (skipped: 4^9999 assignments" in out
 
 
 class TestAxiomCheck:

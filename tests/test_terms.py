@@ -129,6 +129,21 @@ def delta_reference(term: Term) -> frozenset[frozenset[str]]:
     return frozenset(found)
 
 
+def delta_by_subsets(term: Term) -> frozenset[frozenset[str]]:
+    # the enumeration the exact-cover search replaced: every nonempty
+    # subset of the content, kept when it meets each word exactly once
+    variables = sorted(content(term))
+    return frozenset(
+        frozenset(z)
+        for size in range(1, len(variables) + 1)
+        for z in itertools.combinations(variables, size)
+        if all(
+            len(set(z) & set(w)) == 1 and w.count(next(iter(set(z) & set(w)))) == 1
+            for w in term.words
+        )
+    )
+
+
 class TestDeltaSets:
     def test_square_plus_y_is_empty(self):
         u = Term([("x", "x"), ("y",)])
@@ -146,14 +161,21 @@ class TestDeltaSets:
         u = Term([("x", "x")])
         assert delta_sets(u) == frozenset()
 
-    def test_cap(self):
+    def test_linear_word_past_twenty_letters(self):
         w = tuple(f"v{i}" for i in range(21))
-        with pytest.raises(SizeLimitError):
-            delta_sets(Term([w]))
+        assert delta_sets(Term([w])) == {frozenset({x}) for x in w}
 
-    @given(terms(alphabet=("x", "y", "z", "w", "v"), max_words=4))
+    def test_work_bound(self):
+        # 20 disjoint edges have 2^20 delta sets, too many to list
+        u = Term([(f"a{i}", f"b{i}") for i in range(20)])
+        with pytest.raises(SizeLimitError, match="cap"):
+            delta_sets(u)
+
+    # the reference tries up to 4^6 picks, so no per-example deadline
+    @settings(max_examples=300, deadline=None)
+    @given(terms(alphabet=tuple("abcdefgh"), max_words=6))
     def test_matches_reference_enumeration(self, t):
-        assert delta_sets(t) == delta_reference(t)
+        assert delta_sets(t) == delta_reference(t) == delta_by_subsets(t)
 
 
 class TestSubstitute:

@@ -21,6 +21,12 @@ class TestMakeWitness:
             with pytest.raises(ValueError):
                 make_witness(bad)
 
+    def test_q_within_word_length_bound(self):
+        # q has 2n+1 letters; the parser's bound is 10,000
+        assert len(make_witness(4999).q) == 9999
+        with pytest.raises(ValueError, match="at most 4999"):
+            make_witness(5000)
+
     def test_first_pair_exactly(self):
         pair = make_witness(1)
         assert pair.u == parse_term("x1*x2 + x2*x3 + x3*x1", commutative=True)
@@ -67,6 +73,14 @@ class TestWitnessFacts:
         assert oracle.passed is None
         assert "skipped" in oracle.note
         assert report.ok  # a skip does not fail the report
+
+    def test_largest_witness(self):
+        report = check_witness_facts(make_witness(4999))
+        assert report.ok
+        for name in ("contents-equal", "delta-empty", "odd-cycle", "syntactic"):
+            assert report.check(name).passed is True, name
+        # the oracle note prints the power: 4^9999 has 6,020 digits
+        assert report.check("oracle").note.startswith("skipped: 4^9999 ")
 
     def test_forced_oracle(self):
         report = check_witness_facts(make_witness(4), force_oracle=True)
