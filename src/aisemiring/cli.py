@@ -236,6 +236,7 @@ def cmd_derive_search(args) -> int:
             "max_image_words": bounds.max_image_words,
         },
         "chain": json.loads(chain_to_json(outcome.chain)) if outcome.found else None,
+        "stats": {"truncated_by": outcome.truncated_by, "matched": outcome.matched},
     }
     if outcome.found:
         lines = [f"found: {len(outcome.chain.steps)} step(s)"]
@@ -246,9 +247,10 @@ def cmd_derive_search(args) -> int:
             f"(explored {outcome.explored} term(s))"
         ]
     else:
+        guards = ", ".join(f"{g} x{n}" for g, n in outcome.truncated_by.items())
         lines = [
             "no derivation found: search truncated by bounds "
-            f"(explored {outcome.explored} term(s))"
+            f"(explored {outcome.explored} term(s); fired: {guards})"
         ]
     _emit(args, lines, doc)
     return 0 if outcome.found else 1

@@ -1,18 +1,22 @@
 """Equational derivations: one step rewrites a substituted axiom side
 inside an optional multiplicative context plus an optional additive
-remainder. Chains of steps are verified exactly; search enumerates a
-bounded candidate space and reports absence as exhausted or truncated.
+remainder. Chains of steps are verified exactly. Search explores a
+bounded candidate space breadth first, taking each step from a match of
+a substituted axiom side against factorizations p·m·q of the current
+term's words; it reports absence as exhausted or truncated, and names
+the guards that truncated it.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from collections import Counter
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .parsing import parse_identity, parse_term
-from .terms import Identity, Term, content, substitute, word_key
+from .terms import Identity, Term, Word, content, substitute, word_key
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -164,21 +168,51 @@ def verify_chain(chain: DerivationChain, sigma: AxiomSet) -> ChainVerdict:
 
 @dataclass(frozen=True)
 class SearchBounds:
+    """max_depth may be 0 (no step is taken); every other bound is at least 1."""
+
     max_depth: int = 4
     max_words: int = 8
     max_word_len: int = 8
     max_image_words: int = 1
 
+    def __post_init__(self):
+        if self.max_depth < 0:
+            raise ValueError(f"max_depth must be at least 0, got {self.max_depth}")
+        for name in ("max_words", "max_word_len", "max_image_words"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+
+
+# The guards that can cut a search, in the order outcomes report them.
+GUARDS = (
+    "SUBSTITUTION_CAP",
+    "KEEP_SUBSET_LIMIT",
+    "IMAGE_POOL_CAP",
+    "max_words",
+    "max_word_len",
+    "max_depth",
+)
+
 
 @dataclass(frozen=True)
 class SearchOutcome:
     """status is "found", "absent-exhausted" (candidate space fully
-    explored) or "absent-truncated" (some bound cut the enumeration)."""
+    explored) or "absent-truncated" (some bound cut the enumeration).
+
+    truncated_by maps each guard that fired to how often: a substitution
+    list or the image pool cut, a match whose remainder subsets were not
+    enumerated, a candidate result over max_words or max_word_len (plus
+    one for a goal word longer than max_word_len, which cuts the pool),
+    and for max_depth the terms left unexpanded. matched counts the
+    (substitution, context pair) matches found inside explored terms.
+    """
 
     status: str
     chain: DerivationChain | None
     explored: int
     bounds: SearchBounds
+    truncated_by: Mapping[str, int] = field(default_factory=dict)
+    matched: int = 0
 
     @property
     def found(self) -> bool:
@@ -196,15 +230,75 @@ def _candidate_words(goal: Identity, bounds: SearchBounds) -> list:
     return sorted(words, key=word_key)
 
 
+def _memoized(source: Iterator) -> Callable[[], Iterator]:
+    """Replays of source that share one cache: each replay reads the
+    items drawn so far, then draws further items only when it needs them."""
+    cache: list = []
+
+    def replay():
+        i = 0
+        while True:
+            if i == len(cache):
+                item = next(source, None)
+                if item is None:
+                    return
+                cache.append(item)
+            yield cache[i]
+            i += 1
+
+    return replay
+
+
+def _factor_index(
+    t: Term, pool_index: Mapping[Word, int]
+) -> dict[Word, set[tuple[int, int]]]:
+    """Each word m to the context pairs (i, j) with p_i·m·q_j a word of t.
+
+    Index 0 is the absent context, k the k-th pool word. In commutative
+    mode p and q are sub-multisets of the word and m the sorted remainder.
+    """
+    index: dict[Word, set[tuple[int, int]]] = {}
+    if t.commutative:
+        counts = [Counter()] + [Counter(w) for w in pool_index]
+        for v in t.words:
+            cv = Counter(v)
+            fits = [0] + [k for k in range(1, len(counts)) if counts[k] <= cv]
+            for i in fits:
+                after_p = cv - counts[i]
+                for j in fits:
+                    if counts[j] <= after_p:
+                        m = after_p - counts[j]
+                        if m:
+                            index.setdefault(tuple(sorted(m.elements())), set()).add((i, j))
+        return index
+    for v in t.words:
+        n = len(v)
+        for a in range(n):
+            i = pool_index.get(v[:a]) if a else 0
+            if i is None:
+                continue
+            for b in range(a + 1, n + 1):
+                j = pool_index.get(v[b:]) if b < n else 0
+                if j is not None:
+                    index.setdefault(v[a:b], set()).add((i, j))
+    return index
+
+
 def search_derivation(
     sigma: AxiomSet, goal: Identity, bounds: SearchBounds = SearchBounds()
 ) -> SearchOutcome:
     """Breadth-first search for a chain from goal.lhs to goal.rhs.
 
     Substitution images are terms of at most max_image_words words drawn
-    from the contiguous subwords of the goal's own words; contexts are
-    absent or single candidate words; remainders keep the unmatched words
-    plus any subset of the matched ones. Every returned chain re-verifies.
+    from the contiguous subwords of the goal's own words (the pool);
+    contexts are absent or single pool words; remainders keep the
+    unmatched words plus any subset of the matched ones. Neighbours come
+    from matching, not from wrapping every image in every context: each
+    explored term's words are indexed once by their factorizations p·m·q
+    over the contexts, and a substituted axiom side with words w1…wk
+    admits exactly the context pairs common to the index entries of
+    w1…wk, visited in context order. The substituted sides are built once
+    per search, on first use. Every returned chain re-verifies.
     """
     mode = goal.commutative
     if sigma.commutative != mode and len(sigma) > 0:
@@ -214,79 +308,99 @@ def search_derivation(
     if start == target:
         return SearchOutcome("found", DerivationChain(start, (), target), 0, bounds)
 
+    fired: Counter = Counter()
+    matched_count = 0
+    if max(len(w) for side in (start, target) for w in side) > bounds.max_word_len:
+        fired["max_word_len"] += 1
     pool_words = _candidate_words(goal, bounds)
-    truncated = False
+    pool_index = {w: k for k, w in enumerate(pool_words, 1)}
 
     images: list[Term] = [Term.single(w, mode) for w in pool_words]
     for size in range(2, bounds.max_image_words + 1):
         for combo in itertools.combinations(pool_words, size):
             images.append(Term(combo, mode))
             if len(images) >= IMAGE_POOL_CAP:
-                truncated = True
+                fired["IMAGE_POOL_CAP"] += 1
                 break
         if len(images) >= IMAGE_POOL_CAP:
             break
-    contexts: list[Term | None] = [None] + [Term.single(w, mode) for w in pool_words]
+    # contexts: none, then the single-word images in pool order
+    contexts: list[Term | None] = [None] + images[: len(pool_words)]
 
-    def neighbors(t: Term) -> Iterator[tuple[DerivationStep, Term]]:
-        nonlocal truncated
+    def substitutions(src: Term, dst: Term) -> Iterator:
+        variables = sorted(content(src) | content(dst))
+        assignments = itertools.product(images, repeat=len(variables))
+        if len(images) ** len(variables) > SUBSTITUTION_CAP:
+            fired["SUBSTITUTION_CAP"] += 1
+            assignments = itertools.islice(assignments, SUBSTITUTION_CAP)
+        for picks in assignments:
+            phi = dict(zip(variables, picks))
+            yield phi, substitute(phi, src).words, substitute(phi, dst)
+
+    rules = [
+        (name, direction, _memoized(substitutions(src, dst)))
+        for name, ident in sigma
+        for direction, src, dst in (
+            (FORWARD, ident.lhs, ident.rhs),
+            (BACKWARD, ident.rhs, ident.lhs),
+        )
+    ]
+
+    def neighbors(t: Term) -> Iterator[tuple[tuple, frozenset[Word]]]:
+        """(name, direction, phi, p, q, remainder words) and the result's
+        words of each step from t within the bounds, in the order of the
+        axioms, directions, substitutions, context pairs and kept subsets."""
+        nonlocal matched_count
         t_words = t.word_set()
-        for name, ident in sigma:
-            for direction, src, dst in (
-                (FORWARD, ident.lhs, ident.rhs),
-                (BACKWARD, ident.rhs, ident.lhs),
-            ):
-                variables = sorted(content(src) | content(dst))
-                assignments = itertools.product(images, repeat=len(variables))
-                if len(images) ** len(variables) > SUBSTITUTION_CAP:
-                    truncated = True
-                    assignments = itertools.islice(assignments, SUBSTITUTION_CAP)
-                for picks in assignments:
-                    phi = dict(zip(variables, picks))
-                    img_src = substitute(phi, src)
-                    img_dst = substitute(phi, dst)
-                    for p in contexts:
-                        for q in contexts:
-                            w = img_src
-                            if p is not None:
-                                w = p * w
-                            if q is not None:
-                                w = w * q
-                            matched = w.word_set()
-                            if not matched <= t_words:
-                                continue
-                            base = img_dst
-                            if p is not None:
-                                base = p * base
-                            if q is not None:
-                                base = base * q
-                            rest = t_words - matched
-                            if len(matched) > KEEP_SUBSET_LIMIT:
-                                truncated = True
-                                keep_space = [frozenset()]
-                            else:
-                                keep_space = [
-                                    frozenset(c)
-                                    for size in range(len(matched) + 1)
-                                    for c in itertools.combinations(
-                                        sorted(matched, key=word_key), size
-                                    )
-                                ]
-                            for keep in keep_space:
-                                r_words = rest | keep
-                                remainder = Term(r_words, mode) if r_words else None
-                                result = base + remainder if remainder else base
-                                if len(result) > bounds.max_words or any(
-                                    len(rw) > bounds.max_word_len for rw in result
-                                ):
-                                    truncated = True
-                                    continue
-                                step = DerivationStep(
-                                    name, direction, phi, p, q, remainder
-                                )
-                                yield step, result
+        index = _factor_index(t, pool_index)
+        for name, direction, replay in rules:
+            for phi, src_words, img_dst in replay():
+                pairs = index.get(src_words[0])
+                for w in src_words[1:]:
+                    if not pairs:
+                        break
+                    pairs = pairs & index.get(w, set())
+                if not pairs:
+                    continue
+                for i, j in sorted(pairs):
+                    matched_count += 1
+                    p, q = contexts[i], contexts[j]
+                    before = p.words[0] if p is not None else ()
+                    after = q.words[0] if q is not None else ()
+                    matched = [before + w + after for w in src_words]
+                    base = [before + w + after for w in img_dst.words]
+                    if mode:
+                        matched = [tuple(sorted(w)) for w in matched]
+                        base = [tuple(sorted(w)) for w in base]
+                    rest = t_words.difference(matched)
+                    if len(matched) > KEEP_SUBSET_LIMIT:
+                        fired["KEEP_SUBSET_LIMIT"] += 1
+                        keep_space = [()]
+                    else:
+                        ordered = sorted(matched, key=word_key)
+                        keep_space = [
+                            c
+                            for size in range(len(matched) + 1)
+                            for c in itertools.combinations(ordered, size)
+                        ]
+                    for keep in keep_space:
+                        r_words = rest.union(keep)
+                        words = r_words.union(base)
+                        if len(words) > bounds.max_words:
+                            fired["max_words"] += 1
+                            continue
+                        if any(len(rw) > bounds.max_word_len for rw in words):
+                            fired["max_word_len"] += 1
+                            continue
+                        yield (name, direction, phi, p, q, r_words), words
 
-    visited = {start}
+    def outcome(status: str, chain: DerivationChain | None) -> SearchOutcome:
+        truncated_by = {g: fired[g] for g in GUARDS if fired[g]}
+        return SearchOutcome(status, chain, explored, bounds, truncated_by, matched_count)
+
+    # terms are keyed by their word sets, so a Term is built only for a
+    # result not reached before
+    visited = {start.word_set()}
     frontier = [start]
     parents: dict[Term, tuple[Term, DerivationStep]] = {}
     explored = 0
@@ -295,11 +409,13 @@ def search_derivation(
         next_frontier: list[Term] = []
         for t in frontier:
             explored += 1
-            for step, result in neighbors(t):
-                if result in visited:
+            for (name, direction, phi, p, q, r_words), words in neighbors(t):
+                if words in visited:
                     continue
-                visited.add(result)
-                parents[result] = (t, step)
+                visited.add(words)
+                remainder = Term(r_words, mode) if r_words else None
+                result = Term(words, mode)
+                parents[result] = (t, DerivationStep(name, direction, phi, p, q, remainder))
                 if result == target:
                     steps = []
                     node = result
@@ -314,16 +430,15 @@ def search_derivation(
                         raise RuntimeError(
                             f"search produced an unverifiable chain: {verdict.reason}"
                         )
-                    return SearchOutcome("found", chain, explored, bounds)
+                    return outcome("found", chain)
                 next_frontier.append(result)
         frontier = next_frontier
         if not frontier:
             break
 
     if frontier:
-        truncated = True
-    status = "absent-truncated" if truncated else "absent-exhausted"
-    return SearchOutcome(status, None, explored, bounds)
+        fired["max_depth"] += len(frontier)
+    return outcome("absent-truncated" if fired else "absent-exhausted", None)
 
 
 def axioms_to_json(sigma: AxiomSet) -> str:

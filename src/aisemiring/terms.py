@@ -46,7 +46,8 @@ def format_word(w: Word) -> str:
 class Term:
     """A nonempty finite set of nonempty words, with a fixed commutativity mode."""
 
-    __slots__ = ("words", "commutative", "_hash")
+    # _word_set is filled on first use, so terms that never need it skip it
+    __slots__ = ("words", "commutative", "_hash", "_word_set")
 
     def __init__(self, words: Iterable[Word], commutative: bool = False):
         normalized = set()
@@ -71,7 +72,12 @@ class Term:
         return cls([w], commutative)
 
     def word_set(self) -> frozenset[Word]:
-        return frozenset(self.words)
+        try:
+            return self._word_set
+        except AttributeError:
+            ws = frozenset(self.words)
+            object.__setattr__(self, "_word_set", ws)
+            return ws
 
     def __eq__(self, other):
         return (

@@ -332,6 +332,65 @@ class TestDerive:
         )
         assert code == 1
         assert "exhausted" in out
+        assert "fired" not in out
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--max-depth", "-1"),
+            ("--max-words", "0"),
+            ("--max-len", "0"),
+            ("--max-image-words", "0"),
+            ("--max-image-words", "-3"),
+        ],
+    )
+    def test_bounds_below_one_exit_two(self, capsys, axioms_file, flag, value):
+        code, out, err = run(
+            capsys,
+            "derive",
+            "search",
+            "--axioms",
+            axioms_file,
+            "--goal",
+            "x*y == x*y + x*y*x*y",
+            flag,
+            value,
+        )
+        assert code == 2
+        assert out == ""
+        assert "at least" in err
+
+    def test_short_max_len_is_truncation(self, capsys, axioms_file):
+        # a pool cut below the goal's word length is reported, not exhausted
+        code, out, _ = run(
+            capsys,
+            "derive",
+            "search",
+            "--axioms",
+            axioms_file,
+            "--goal",
+            "x*y == x*y + x*y*x*y",
+            "--max-len",
+            "1",
+        )
+        assert code == 1
+        assert "search truncated by bounds" in out
+        assert "max_word_len x" in out
+
+    def test_stats_key(self, capsys, axioms_file):
+        argv = ["derive", "search", "--axioms", axioms_file, "--json", "--goal"]
+        code, out, _ = run(capsys, *argv, "x*y == x*y + x*y*x*y")
+        doc = json.loads(out)
+        assert code == 0
+        assert {"status", "explored", "bounds", "chain"} <= set(doc)
+        assert doc["stats"]["matched"] >= 1
+        code, out, _ = run(
+            capsys, *argv, "x*y == x*y + x*y*x*y + x*y*x*y*x*y*x*y", "--max-depth", "1"
+        )
+        doc = json.loads(out)
+        assert code == 1
+        assert doc["status"] == "absent-truncated"
+        assert doc["stats"]["truncated_by"]["max_depth"] >= 1
 
     def test_verify_round_trip_through_files(self, capsys, tmp_path, axioms_file):
         chain_path = tmp_path / "chain.json"

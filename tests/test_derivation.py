@@ -1,6 +1,9 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from aisemiring import (
     AxiomSet,
@@ -18,6 +21,7 @@ from aisemiring import (
     chain_from_json,
     chain_to_json,
     holds_bruteforce,
+    holds_s7_0,
     parse_identity,
     parse_term,
     random_identity,
@@ -25,8 +29,123 @@ from aisemiring import (
     substitute,
     verify_chain,
 )
+from aisemiring.derivation import (
+    IMAGE_POOL_CAP,
+    KEEP_SUBSET_LIMIT,
+    SUBSTITUTION_CAP,
+    _candidate_words,
+)
+from aisemiring.terms import word_key
 
 SIGMA = AxiomSet([("ax1", parse_identity("x == x + x*x"))])
+
+
+def _reference_search(sigma, goal, bounds):
+    """The generate-and-test search the matching one replaced: every
+    substituted image, recomputed per explored term, is wrapped in every
+    (left, right) context pair and kept when its words lie in the term.
+    Returns (status, explored, chain). A goal word longer than max_word_len
+    marks the outcome truncated, as in search_derivation."""
+    mode = goal.commutative
+    start, target = goal.lhs, goal.rhs
+    if start == target:
+        return "found", 0, DerivationChain(start, (), target)
+    pool_words = _candidate_words(goal, bounds)
+    truncated = max(len(w) for side in (start, target) for w in side) > bounds.max_word_len
+    images = [Term.single(w, mode) for w in pool_words]
+    for size in range(2, bounds.max_image_words + 1):
+        for combo in itertools.combinations(pool_words, size):
+            images.append(Term(combo, mode))
+            if len(images) >= IMAGE_POOL_CAP:
+                truncated = True
+                break
+        if len(images) >= IMAGE_POOL_CAP:
+            break
+    contexts = [None] + [Term.single(w, mode) for w in pool_words]
+
+    def neighbors(t):
+        nonlocal truncated
+        t_words = t.word_set()
+        for name, ident in sigma:
+            for direction, src, dst in (
+                ("forward", ident.lhs, ident.rhs),
+                ("backward", ident.rhs, ident.lhs),
+            ):
+                variables = sorted(content(src) | content(dst))
+                assignments = itertools.product(images, repeat=len(variables))
+                if len(images) ** len(variables) > SUBSTITUTION_CAP:
+                    truncated = True
+                    assignments = itertools.islice(assignments, SUBSTITUTION_CAP)
+                for picks in assignments:
+                    phi = dict(zip(variables, picks))
+                    img_src = substitute(phi, src)
+                    img_dst = substitute(phi, dst)
+                    for p in contexts:
+                        for q in contexts:
+                            w = img_src
+                            if p is not None:
+                                w = p * w
+                            if q is not None:
+                                w = w * q
+                            matched = w.word_set()
+                            if not matched <= t_words:
+                                continue
+                            base = img_dst
+                            if p is not None:
+                                base = p * base
+                            if q is not None:
+                                base = base * q
+                            rest = t_words - matched
+                            if len(matched) > KEEP_SUBSET_LIMIT:
+                                truncated = True
+                                keep_space = [frozenset()]
+                            else:
+                                keep_space = [
+                                    frozenset(c)
+                                    for size in range(len(matched) + 1)
+                                    for c in itertools.combinations(
+                                        sorted(matched, key=word_key), size
+                                    )
+                                ]
+                            for keep in keep_space:
+                                r_words = rest | keep
+                                remainder = Term(r_words, mode) if r_words else None
+                                result = base + remainder if remainder else base
+                                if len(result) > bounds.max_words or any(
+                                    len(rw) > bounds.max_word_len for rw in result
+                                ):
+                                    truncated = True
+                                    continue
+                                step = DerivationStep(name, direction, phi, p, q, remainder)
+                                yield step, result
+
+    visited = {start}
+    frontier = [start]
+    parents = {}
+    explored = 0
+    for _ in range(bounds.max_depth):
+        next_frontier = []
+        for t in frontier:
+            explored += 1
+            for step, result in neighbors(t):
+                if result in visited:
+                    continue
+                visited.add(result)
+                parents[result] = (t, step)
+                if result == target:
+                    steps = []
+                    node = result
+                    while node != start:
+                        node, s = parents[node]
+                        steps.append(s)
+                    return "found", explored, DerivationChain(start, tuple(reversed(steps)), target)
+                next_frontier.append(result)
+        frontier = next_frontier
+        if not frontier:
+            break
+    if frontier:
+        truncated = True
+    return ("absent-truncated" if truncated else "absent-exhausted"), explored, None
 
 
 def step(axiom="ax1", direction="forward", phi=None, **kw):
@@ -289,3 +408,141 @@ class TestSerialization:
                     ("b", parse_identity("x == x", commutative=True)),
                 ]
             )
+
+
+AXIOM_TEXTS = {
+    "sq,comm": (("sq", "x == x + x*x"), ("comm", "x*y == y*x")),
+    "sq,dup": (("sq", "x == x + x*x"), ("dup", "x + y == x + y + x*y")),
+    "comm": (("comm", "x*y == y*x"),),
+}
+
+
+class TestMatchingSearch:
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_matches_reference_search(self, data):
+        commutative = data.draw(st.booleans())
+        axioms = AXIOM_TEXTS[data.draw(st.sampled_from(sorted(AXIOM_TEXTS)))]
+        sigma = AxiomSet([(n, parse_identity(i, commutative)) for n, i in axioms])
+        image_words = data.draw(st.sampled_from((1, 2)))
+        # few letters give words with several factorizations p·m·q
+        letters = data.draw(st.sampled_from(("x", "x", "xy", "xyz")))
+        word = st.lists(st.sampled_from(letters), min_size=1, max_size=3 if image_words == 1 else 2)
+        lhs = Term(data.draw(st.lists(word, min_size=1, max_size=2)), commutative)
+        if data.draw(st.booleans()):
+            # a one-step instance of an axiom in a context, so that found
+            # chains are common
+            name, ident = data.draw(st.sampled_from(list(sigma)))
+            phi = {
+                x: Term([data.draw(st.sampled_from(lhs.words))], commutative)
+                for x in sorted(content(ident.lhs) | content(ident.rhs))
+            }
+            context = st.one_of(st.just(()), st.tuples(st.sampled_from(letters)))
+            before, after = data.draw(context), data.draw(context)
+
+            def wrapped(side):
+                return Term([before + w + after for w in substitute(phi, side).words], commutative)
+
+            goal = Identity(lhs + wrapped(ident.lhs), lhs + wrapped(ident.rhs))
+        else:
+            goal = Identity(lhs, Term(data.draw(st.lists(word, min_size=1, max_size=2)), commutative))
+        bounds = SearchBounds(
+            max_depth=data.draw(st.integers(0, 2 if image_words == 1 else 1)),
+            max_words=data.draw(st.integers(2, 8)),
+            max_word_len=data.draw(st.integers(2, 6)),
+            max_image_words=image_words,
+        )
+        # the reference wraps every image in every context pair: keep its
+        # pool small
+        assume(len(_candidate_words(goal, bounds)) <= 8)
+        new = search_derivation(sigma, goal, bounds)
+        status, explored, chain = _reference_search(sigma, goal, bounds)
+        assert (new.status, new.explored) == (status, explored)
+        if chain is not None:
+            assert chain_to_json(new.chain) == chain_to_json(chain)
+        else:
+            assert bool(new.truncated_by) == (status == "absent-truncated")
+
+    def test_context_pairs_in_reference_order(self):
+        # x -> x matches x*x with the right context x and with the left
+        # one; the first pair in context order, (none, x), names the step
+        goal = parse_identity("x*x == x*x + x*x*x")
+        outcome = search_derivation(SIGMA, goal)
+        (s,) = outcome.chain.steps
+        assert (s.left_context, s.right_context) == (None, parse_term("x"))
+        _, _, chain = _reference_search(SIGMA, goal, SearchBounds())
+        assert chain_to_json(outcome.chain) == chain_to_json(chain)
+
+    def test_found_goals_hold_in_s7_0(self):
+        # soundness: axioms that hold in S7_0 only derive identities the
+        # oracle confirms there
+        s7_0 = builtin("S7_0")
+        texts = (
+            "x*y == y*x",
+            "x*x == x*x*x",
+            "x*x == x*x + x*x*x",
+            "x*x*y == x*y*x",
+            "x + x*y*x == x + x*y*x + x*x*y",
+        )
+        rng = random.Random(5)
+        found = 0
+        for _ in range(300):
+            commutative = rng.random() < 0.5
+            axioms = [parse_identity(text, commutative) for text in rng.sample(texts, 2)]
+            assert all(holds_s7_0(ax).holds for ax in axioms)
+            sigma = AxiomSet([(f"a{i}", ax) for i, ax in enumerate(axioms)])
+            letters = rng.choice(("x", "xy"))
+
+            def term():
+                return Term(
+                    [
+                        tuple(rng.choice(letters) for _ in range(rng.randint(1, 3)))
+                        for _ in range(rng.randint(1, 2))
+                    ],
+                    commutative,
+                )
+
+            lhs = term()
+            rhs = lhs + term() if rng.random() < 0.7 else term()
+            goal = Identity(lhs, rhs)
+            outcome = search_derivation(
+                sigma, goal, SearchBounds(max_depth=2, max_words=4, max_word_len=4)
+            )
+            if outcome.found and outcome.chain.steps:
+                found += 1
+                assert holds_bruteforce(s7_0, goal).holds, str(goal)
+        assert found >= 10
+
+    def test_bounds_below_one_rejected(self):
+        with pytest.raises(ValueError, match="max_depth"):
+            SearchBounds(max_depth=-1)
+        for name in ("max_words", "max_word_len", "max_image_words"):
+            for value in (0, -3):
+                with pytest.raises(ValueError, match=name):
+                    SearchBounds(**{name: value})
+        assert SearchBounds(max_depth=0).max_depth == 0
+
+    def test_goal_word_past_max_word_len_truncates(self):
+        # the pool of subwords is cut, even where no step could help
+        goal = parse_identity("x*y == x*y + x*y*x*y")
+        outcome = search_derivation(AxiomSet(), goal, SearchBounds(max_word_len=3))
+        assert outcome.status == "absent-truncated"
+        assert outcome.truncated_by == {"max_word_len": 1}
+        assert search_derivation(AxiomSet(), goal).truncated_by == {}
+
+    def test_truncation_names_its_guards(self):
+        goal = parse_identity("x*y == x*y + x*y*x*y + x*y*x*y*x*y*x*y")
+        outcome = search_derivation(SIGMA, goal, SearchBounds(max_depth=1))
+        assert outcome.status == "absent-truncated"
+        assert outcome.truncated_by["max_depth"] >= 1
+        assert outcome.matched >= 1
+        tight = search_derivation(SIGMA, goal, SearchBounds(max_words=2))
+        assert tight.status == "absent-truncated"
+        assert "max_words" in tight.truncated_by
+
+    def test_substitution_cap_is_counted(self):
+        # 3 variables over 28+ single-word images exceed SUBSTITUTION_CAP
+        sigma = AxiomSet([("three", parse_identity("x*y*z == z*y*x"))])
+        goal = parse_identity("a*b*c*d*e*f*g == a*b*c*d*e*f*g + g")
+        outcome = search_derivation(sigma, goal, SearchBounds(max_depth=1))
+        assert outcome.truncated_by["SUBSTITUTION_CAP"] == 2

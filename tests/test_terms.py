@@ -281,3 +281,10 @@ class TestDecomposition:
                     holds_bruteforce(s, part).holds for part in decompose(ident)
                 )
                 assert whole == parts, (str(ident), s.elements)
+
+
+def test_word_set_is_built_once():
+    t = Term([("y", "x"), ("x",)], commutative=True)
+    assert t.word_set() is t.word_set()
+    assert t.word_set() == {("x", "y"), ("x",)}
+    assert ("y", "x") in t and ("x", "y") in t and ("y",) not in t
