@@ -10,6 +10,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring
 from pathlib import Path
 
 from .algebra import (
@@ -80,9 +81,45 @@ def _identity_arg(value: str, commutative: bool):
     return parse_identity(value, commutative)
 
 
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _json_text(value, indent: str = "") -> str:
+    """json.dumps(value, indent=2, ensure_ascii=False), without the
+    pure-Python encoder that json.dumps falls back on to indent: containers
+    are laid out here, strings and other scalars encoded by json's C code."""
+    if isinstance(value, str):
+        return encode_basestring(value)
+    if value is None or value is True or value is False:
+        return _JSON_CONSTANTS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = []
+        for key, item in value.items():
+            if not isinstance(key, str):
+                if not isinstance(key, (int, float, type(None))):
+                    raise TypeError(
+                        f"keys must be str, int, float, bool or None, not {type(key).__name__}"
+                    )
+                key = json.dumps(key)
+            items.append(f"{inner}{encode_basestring(key)}: {_json_text(item, inner)}")
+        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        items = [inner + _json_text(item, inner) for item in value]
+        return "[\n" + ",\n".join(items) + "\n" + indent + "]"
+    return json.dumps(value)
+
+
 def _emit(args, lines: list[str], doc: dict) -> None:
     if args.json:
-        print(json.dumps(doc, indent=2, ensure_ascii=False))
+        print(_json_text(doc))
     else:
         print("\n".join(lines))
 

@@ -10,7 +10,12 @@ against each other on randomly generated identities.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import lru_cache
+from heapq import heapify, heappop, heappush
+from itertools import count
+from operator import itemgetter
 from typing import Callable
 
 from .algebra import FiniteSemiring, builtin
@@ -22,21 +27,26 @@ from .terms import (
     content,
     delta_sets,
     filter_content_subset,
-    fold_words,
     format_word,
 )
 
-BRUTE_FORCE_CAP = 10**8
+ORACLE_NODE_BUDGET = 1_000_000
+# The most leaves a search over the variables in name order may have. A
+# search that small costs about the same in any order, and in name order
+# it needs no further runs to find the witness (see holds_bruteforce).
+NAME_ORDER_LEAVES = 4096
 
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of a decider, with a falsifying assignment or failure reason."""
+    """Outcome of a decider, with a falsifying assignment or failure reason,
+    and optional counters of the work done."""
 
     holds: bool
     witness: dict[str, str] | None = None
     reason: str | None = None
     details: dict | None = None
+    stats: dict | None = None
 
     def to_dict(self) -> dict:
         out: dict = {"holds": self.holds}
@@ -46,24 +56,398 @@ class Verdict:
             out["reason"] = self.reason
         if self.details is not None:
             out["details"] = self.details
+        if self.stats is not None:
+            out["stats"] = self.stats
         return out
 
 
-def holds_bruteforce(
-    s: FiniteSemiring, ident: Identity, cap: int = BRUTE_FORCE_CAP
-) -> Verdict:
+@lru_cache(maxsize=4096)
+def _word_runs(w: tuple[int, ...]) -> tuple:
+    """How the oracle evaluates a word given by variable indices, one
+    variable at a time.
+
+    After depth d the word's assigned letters (index at most d) form
+    maximal runs, and the oracle keeps the product of each: a run of one
+    letter is that variable's value, a longer run has a cell of its own.
+    A run is named by a token: its variable's index, or -1 - r for the
+    word's r-th cell. Assigning d creates the runs that hold its letters,
+    each absorbing its neighbours, with the product of its tokens; the
+    other runs stay. Returns (size, steps, last, tokens): size is the
+    number of cells; steps has a (d, made, gone, live) tuple for each
+    variable d of the word but the last, in increasing order, with made a
+    (cell, tokens) pair per new run with a cell, gone and live the names
+    of the runs absorbed and created; last is the last variable and tokens
+    make the whole word there, its value. Runs are found by bisection, so
+    a word costs about linear time.
+    """
+    positions: dict[int, list[int]] = {}
+    for p, x in enumerate(w):
+        positions.setdefault(x, []).append(p)
+    runs: tuple[list[int], list[int], list[int]] = ([], [], [])  # first, last position, name
+    fresh = count()
+    *opens, last = sorted(positions)
+    steps = tuple((d, *_merge_runs(runs, positions[d], d, fresh)) for d in opens)
+    size = next(fresh)
+    made, gone, live = _merge_runs(runs, positions[last], last, fresh)
+    return size, steps, last, made[0][1] if made else live
+
+
+def _merge_runs(runs, positions: list[int], x: int, fresh) -> tuple:
+    """Add the letters of variable x, at the given positions, to a word's
+    runs; returns (made, gone, live) as in _word_runs, cells drawn from
+    fresh."""
+    starts, ends, names = runs
+    old = len(starts)
+    created = []  # [first absorbed run, after the last one, tokens, first, last position]
+    for p in positions:
+        j = bisect_left(starts, p)
+        if created and created[-1][4] == p - 1:
+            run = created[-1]
+        else:
+            left = j > 0 and ends[j - 1] == p - 1
+            run = [j - left, j, [names[j - 1]] if left else [], starts[j - 1] if left else p, p]
+            created.append(run)
+        run[2].append(x)
+        run[1], run[4] = j, p
+        if j < old and starts[j] == p + 1:
+            run[2].append(names[j])
+            run[1], run[4] = j + 1, ends[j]
+    made, gone, live = [], [], []
+    for run in created:
+        tokens = run[2]
+        gone += [t for t in tokens if t != x]  # absorbed runs are named otherwise
+        if len(tokens) > 1:
+            cell = next(fresh)
+            made.append((cell, tuple(tokens)))
+            live.append(-1 - cell)
+        else:
+            live.append(x)
+    for (a, b, _, first, last), name in zip(reversed(created), reversed(live)):
+        starts[a:b], ends[a:b], names[a:b] = [first], [last], [name]
+    return tuple(made), tuple(gone), tuple(live)
+
+
+@lru_cache(maxsize=4096)
+def _word_plan(w: tuple[int, ...], offset: int) -> tuple:
+    """_word_runs(w) with the word's cells placed in the oracle's memory
+    from offset on, so that every token is a memory index: (size, made,
+    last, closing), where made has a (d, (cell, first, rest)) pair per run
+    with a cell, and closing holds the (target, first, rest) entries of the
+    whole word on the lhs and on the rhs (see holds_bruteforce)."""
+    size, steps, last, tokens = _word_runs(w)
+    made = tuple(
+        (d, (offset + cell, *_placed(run, offset)))
+        for d, cells, _, _ in steps
+        for cell, run in cells
+    )
+    first, rest = _placed(tokens, offset)
+    return size, made, last, ((-1, first, rest), (-2, first, rest))
+
+
+def _placed(tokens: tuple[int, ...], offset: int) -> tuple:
+    """The first token and the tuple of the others, each a memory index
+    for a word whose cells start at offset."""
+    first, *rest = [t if t >= 0 else offset - 1 - t for t in tokens]
+    return first, tuple(rest)
+
+
+def _search_order(words: list[tuple[str, ...]], commutative: bool) -> list[str]:
+    """The variables of the words in the order the oracle assigns them,
+    chosen from the shape of the words so that few runs are open at once.
+
+    The next variable is, first, the last unassigned one of a word with
+    letters assigned, which closes that word; else one next to an assigned
+    letter of some word, which extends a run (in commutative mode, where
+    the oracle orders a word's letters as it likes, any letter of a word
+    with letters assigned); else any. Ties go to the variable with the
+    fewest letters in the words, then to the first by name, so the names
+    only break ties: a renaming of the variables leaves the search about
+    as large, which sorting by name does not (a cycle whose names are
+    shuffled against it keeps more runs open, and over a 6-element table
+    the search grew tenfold). Stale heap entries are skipped, so the order
+    costs O(L log L) for L letters.
+    """
+    places: dict[str, list[tuple[int, int]]] = {}  # each variable's (word, position)
+    for i, w in enumerate(words):
+        for p, x in enumerate(w):
+            places.setdefault(x, []).append((i, p))
+    sizes = [len(set(w)) for w in words]
+    unassigned = list(sizes)  # per word, its variables not yet in the order
+    level = dict.fromkeys(places, 2)
+    heap = [(2, len(at), x) for x, at in places.items()]
+    heapify(heap)
+    order: list[str] = []
+    done: set[str] = set()
+
+    def lower(x: str, to: int) -> None:
+        if to < level[x] and x not in done:
+            level[x] = to
+            heappush(heap, (to, len(places[x]), x))
+
+    while heap:
+        at, _, x = heappop(heap)
+        if at != level[x] or x in done:
+            continue
+        done.add(x)
+        order.append(x)
+        for i in {i for i, _ in places[x]}:
+            unassigned[i] -= 1
+            if unassigned[i] == 1:
+                lower(next(y for y in words[i] if y not in done), 0)
+            elif commutative and unassigned[i] == sizes[i] - 1:
+                for y in words[i]:
+                    lower(y, 1)
+        if not commutative:
+            for i, p in places[x]:
+                w = words[i]
+                if p:
+                    lower(w[p - 1], 1)
+                if p + 1 < len(w):
+                    lower(w[p + 1], 1)
+    return order
+
+
+def _first_difference(leaf_lhs, leaf_rhs, left: int, right: int, d: int, values: range, mem, add, mul):
+    """The first of the values of variable d, the last one, where the
+    sides differ, with the values of the sides there, or None when they
+    agree at every value. left and right are the running sums handed down;
+    leaf_lhs and leaf_rhs the words closing at d (see _Search)."""
+    base_lhs, base_rhs = left, right
+    for e in values:
+        mem[d] = e
+        left, right = base_lhs, base_rhs
+        for _, first, rest in leaf_lhs:
+            v = mem[first]
+            for t in rest:
+                v = mul[v][mem[t]]
+            left = v if left < 0 else add[left][v]
+        for _, first, rest in leaf_rhs:
+            v = mem[first]
+            for t in rest:
+                v = mul[v][mem[t]]
+            right = v if right < 0 else add[right][v]
+        if left != right:
+            return e, left, right
+    return None
+
+
+def _live_getters(words: list[tuple[int, ...]], k: int) -> list:
+    """Per depth, the getter of the memory indices of the live runs, those
+    of the words with letters assigned and unassigned, or None if none is
+    live; words are the coded words, placed as _Search places them."""
+    changes: list[list] = [[] for _ in range(k)]  # per depth, (offset, gone, created) names
+    offset = k
+    for w in words:
+        size, steps, last, tokens = _word_runs(w)
+        for d, _, gone, created in steps:
+            changes[d].append((offset, gone, created))
+        changes[last].append((offset, tuple(t for t in tokens if t != last), ()))
+        offset += size
+    getters = []
+    live: dict[int, int] = {}  # the memory index of each live run, with its count
+    for depth_changes in changes:
+        for offset, gone, created in depth_changes:
+            for t in gone:
+                t = t if t >= 0 else offset - 1 - t
+                live[t] -= 1
+                if not live[t]:
+                    del live[t]
+            for t in created:
+                t = t if t >= 0 else offset - 1 - t
+                live[t] = live.get(t, 0) + 1
+        getters.append(itemgetter(*live) if live else None)
+    return getters
+
+
+def _over_budget(nodes: int, budget: int) -> SizeLimitError:
+    return SizeLimitError(
+        f"oracle search capped at its node budget: {nodes} nodes visited, budget {budget}"
+    )
+
+
+def _state(getter, mem: list, left: int, right: int) -> tuple:
+    """The live state after a depth: the two running sums, and the live
+    run products that getter picks from mem."""
+    return (left, right, getter(mem)) if getter else (left, right)
+
+
+class _Search:
+    """The oracle's depth-first search over one identity with its variables
+    in a fixed order, each bounded to a range of values, and the counts of
+    its work over all its runs.
+
+    The variables are coded by their depth in the order. Each word keeps
+    the products of the maximal runs of its assigned letters, updated at
+    its own variables only (see _word_runs); at its last variable that is
+    the word's value, and it joins its side's running sum. mem holds the
+    value of each variable, then the cells of the words. entries[d] holds
+    (target, first, rest) for each product made at depth d, of mem at the
+    tokens first and rest: a run, stored in mem[target], or a whole word,
+    joining the running sum of the lhs (target -1) or of the rhs (-2).
+    """
+
+    def __init__(self, s: FiniteSemiring, ident: Identity, order: list[str]):
+        k = len(order)
+        index = dict(zip(order, range(k))).__getitem__
+        sides = (ident.lhs.words, ident.rhs.words)
+        if ident.commutative:
+            # a word's letters are taken in search order, so its assigned
+            # letters always form one run
+            words = [[tuple(sorted(map(index, w))) for w in side] for side in sides]
+        else:
+            words = [[tuple(map(index, w)) for w in side] for side in sides]
+        mem = [0] * k
+        entries: list[list] = [[] for _ in order]
+        for side, coded in enumerate(words):
+            if side:
+                # every word with the last variable closes there, so the
+                # leaves can take each side's words apart
+                leaf_lhs = entries[-1]
+                entries[-1] = []
+            for w in coded:
+                size, made, last, closing = _word_plan(w, len(mem))
+                if size:
+                    mem += [-1] * size
+                    for d, run in made:
+                        entries[d].append(run)
+                entries[last].append(closing[side])
+        n = s.size
+        top = 0
+        for e in range(n):
+            top = s.add[top][e]
+        self.s, self.k, self.top = s, k, top
+        self.words, self.mem, self.entries = words, mem, entries
+        self.leaf_lhs, self.leaf_rhs = leaf_lhs, entries[-1]
+        self.held = None  # per depth, the getter of the live run products, on first need
+        self.lo, self.hi = [0] * k, [n - 1] * k
+        self.cleared: dict[int, set] = {}  # per depth, the keys of exhausted subtrees
+        self.since_bound: list[tuple[int, tuple]] = []  # (depth, key) cleared since bound()
+        self.nodes = self.memo_hits = self.top_pruned = 0
+
+    def stats(self) -> dict:
+        return {"nodes": self.nodes, "memo_hits": self.memo_hits, "top_pruned": self.top_pruned}
+
+    def bound(self, d: int, e: int) -> None:
+        """Bound variable d to the value e, within its old bounds or, after
+        a run with d bound to another value, outside them. In the second
+        case the keys that run cleared at depths above d are forgotten, as
+        they hold for that value of d only; every other key stays true, as
+        the bounds below it only narrowed since."""
+        if not self.lo[d] <= e <= self.hi[d]:
+            for j, state in self.since_bound:
+                if j < d:
+                    self.cleared[j].discard(state)
+        self.since_bound = []
+        self.lo[d] = self.hi[d] = e
+
+    def first_leaf(self):
+        """The first falsifying leaf within the bounds: the tuple of the
+        values and the values of the two sides there; None if every leaf
+        within the bounds satisfies the identity. Two kinds of subtree are
+        skipped:
+        - where both running sums have reached the additive top, the sum
+          of all elements: the top absorbs every element, so both sides
+          evaluate to it at every leaf below;
+        - where the live state (the two running sums and the run products
+          of the open words, those with letters assigned and unassigned)
+          equals that of a subtree searched to the end without a
+          falsifying leaf, in this run or an earlier one with wider
+          bounds below it: the leaves below depend on nothing else. This
+          is the caching step of bucket elimination (Dechter, "Bucket
+          elimination: a unifying framework for reasoning", AI 113, 1999).
+          Nodes whose children are leaves are not memoised: their leaves
+          cost about what a key does.
+        Neither skip passes a falsifying leaf. Past ORACLE_NODE_BUDGET
+        nodes visited (internal ones and leaves, over all runs) it raises
+        SizeLimitError.
+        """
+        mem, entries, top, cleared = self.mem, self.entries, self.top, self.cleared
+        since_bound = self.since_bound
+        lo, hi = self.lo, self.hi
+        add, mul = self.s.add, self.s.mul
+        nodes, memo_hits, top_pruned = self.nodes, self.memo_hits, self.top_pruned
+        budget = ORACLE_NODE_BUDGET
+        k = self.k
+        last = k - 1
+        mem[:k] = lo
+        # sums[d]: a side's running sum over the words ending above depth d
+        lhs_sums = [-1] * k
+        rhs_sums = [-1] * k
+        d = 0
+        while True:
+            if d < last:
+                nodes += 1
+                if nodes > budget:
+                    raise _over_budget(nodes, budget)
+                left, right = lhs_sums[d], rhs_sums[d]
+                for target, first, rest in entries[d]:
+                    v = mem[first]
+                    for t in rest:
+                        v = mul[v][mem[t]]
+                    if target >= 0:
+                        mem[target] = v
+                    elif target == -1:
+                        left = v if left < 0 else add[left][v]
+                    else:
+                        right = v if right < 0 else add[right][v]
+                if left == top and right == top:
+                    top_pruned += 1
+                elif d in cleared and _state(self.held[d], mem, left, right) in cleared[d]:
+                    memo_hits += 1
+                else:
+                    d += 1
+                    lhs_sums[d], rhs_sums[d] = left, right
+                    continue
+            else:
+                values = range(lo[d], hi[d] + 1)
+                found = _first_difference(
+                    self.leaf_lhs, self.leaf_rhs, lhs_sums[d], rhs_sums[d], d, values, mem, add, mul
+                )
+                if found:
+                    self.nodes = nodes + found[0] - lo[d] + 1
+                    self.memo_hits, self.top_pruned = memo_hits, top_pruned
+                    return tuple(mem[:k]), found[1], found[2]
+                nodes += len(values)
+                if nodes > budget:
+                    raise _over_budget(nodes, budget)
+            # next sibling, backing up over exhausted digits; a node all of
+            # whose children are exhausted clears its key
+            while mem[d] == hi[d]:
+                if d == 0:
+                    self.nodes, self.memo_hits, self.top_pruned = nodes, memo_hits, top_pruned
+                    return None
+                mem[d] = lo[d]
+                d -= 1
+                if d < last - 1:
+                    # the node handed its sums down, and no deeper depth
+                    # writes the run products in its key
+                    if self.held is None:
+                        self.held = _live_getters([*self.words[0], *self.words[1]], k)
+                    state = _state(self.held[d], mem, lhs_sums[d + 1], rhs_sums[d + 1])
+                    cleared.setdefault(d, set()).add(state)
+                    since_bound.append((d, state))
+            mem[d] += 1
+
+
+def holds_bruteforce(s: FiniteSemiring, ident: Identity) -> Verdict:
     """Decide an identity by evaluating it under assignments into s.
 
-    A depth-first search assigns the variables sorted by name, first
-    variable outermost, each running through the elements in order, so
-    the leaves come in mixed-radix order (last variable least significant)
-    and the falsifying witness is deterministic. A word joins its side's
-    running sum once its last variable is assigned. A subtree where both
-    running sums have reached the additive top, the sum of all elements,
-    is skipped: the top absorbs every element, so both sides evaluate to
-    it at every leaf below, and the first falsifying leaf is that of a
-    full scan. s must satisfy the ai-semiring laws, as every loader checks;
-    a commutative-mode identity also needs a commutative multiplication.
+    A depth-first search (_Search) assigns the variables one by one, each
+    running through the elements in order, and skips subtrees whose
+    leaves are known to agree. The witness of a failing identity is the
+    first falsifying assignment in mixed-radix order with the variables
+    sorted by name (last one least significant), the one a full scan
+    meets first. With at most NAME_ORDER_LEAVES leaves the search takes
+    the variables in that order, so its first falsifying leaf is the
+    witness. Past it the search takes them in the order _search_order
+    draws from the shape of the words, which keeps the memo's states few
+    whatever the names; its first falsifying leaf is then a witness, and
+    _fix_in_name_order finds the first one in name order. Past
+    ORACLE_NODE_BUDGET nodes visited over all runs the search raises
+    SizeLimitError. The verdict's stats count nodes, memo_hits and
+    top_pruned over all runs. s must satisfy the ai-semiring laws, as
+    every loader checks; a commutative-mode identity also needs a
+    commutative multiplication.
     """
     if ident.commutative and s.mul != tuple(zip(*s.mul)):
         a, b = next(
@@ -74,70 +458,52 @@ def holds_bruteforce(
             "a commutative-mode identity needs a commutative multiplication, "
             f"but {a}*{b} != {b}*{a}"
         )
-    variables = sorted(set().union(*ident.lhs.words, *ident.rhs.words))
-    n, k = s.size, len(variables)
-    if n**k > cap:
-        # the power, not its value: past 4300 digits str() of an int raises
-        raise SizeLimitError(f"brute force needs {n}^{k} assignments, cap is {cap}")
     if ident.is_trivial():
-        return Verdict(True)
-    index = {x: i for i, x in enumerate(variables)}.__getitem__
-    # ends[d]: a side's words whose last variable in the order is variables[d]
-    ends_lhs: list[list] = [[] for _ in variables]
-    ends_rhs: list[list] = [[] for _ in variables]
-    for side, ends in ((ident.lhs, ends_lhs), (ident.rhs, ends_rhs)):
-        for w in side.words:
-            w = tuple(map(index, w))
-            ends[max(w)].append(w)
-    add, mul = s.add, s.mul
-    top = 0
-    for e in range(n):
-        top = add[top][e]
-    last = k - 1
-    leaf_lhs, leaf_rhs = ends_lhs[last], ends_rhs[last]
-    asg = [0] * k
-    # sums[d]: a side's running sum over the words ending above depth d
-    lhs_sums = [-1] * k
-    rhs_sums = [-1] * k
-    d = 0
-    while True:
-        left, right = lhs_sums[d], rhs_sums[d]
-        if d < last:
-            if ends_lhs[d]:
-                left = fold_words(ends_lhs[d], add, mul, asg, left)
-            if ends_rhs[d]:
-                right = fold_words(ends_rhs[d], add, mul, asg, right)
-            if left != top or right != top:
-                d += 1
-                lhs_sums[d], rhs_sums[d] = left, right
-                continue
-        else:
-            # the leaves: all n digits of the last variable in one loop
-            if left != top or right != top:
-                for e in range(n):
-                    asg[d] = e
-                    if leaf_lhs:
-                        left = fold_words(leaf_lhs, add, mul, asg, lhs_sums[d])
-                    if leaf_rhs:
-                        right = fold_words(leaf_rhs, add, mul, asg, rhs_sums[d])
-                    if left != right:
-                        witness = {x: s.elements[asg[i]] for i, x in enumerate(variables)}
-                        return Verdict(
-                            False,
-                            witness=witness,
-                            reason=(
-                                f"sides evaluate to {s.elements[left]} "
-                                f"and {s.elements[right]}"
-                            ),
-                        )
-            asg[d] = n - 1
-        # next sibling, backing up over exhausted digits
-        while asg[d] == n - 1:
-            asg[d] = 0
-            if d == 0:
-                return Verdict(True)
-            d -= 1
-        asg[d] += 1
+        return Verdict(True, stats={"nodes": 0, "memo_hits": 0, "top_pruned": 0})
+    variables = sorted(set().union(*ident.lhs.words, *ident.rhs.words))
+    if s.size ** len(variables) <= NAME_ORDER_LEAVES:
+        order = variables
+    else:
+        order = _search_order([*ident.lhs.words, *ident.rhs.words], ident.commutative)
+    search = _Search(s, ident, order)
+    found = search.first_leaf()
+    if found is None:
+        return Verdict(True, stats=search.stats())
+    if order is not variables:
+        found = _fix_in_name_order(search, order, variables, found)
+    values, left, right = found
+    return Verdict(
+        False,
+        witness=dict(zip(variables, map(s.elements.__getitem__, values))),
+        reason=f"sides evaluate to {s.elements[left]} and {s.elements[right]}",
+        stats=search.stats(),
+    )
+
+
+def _fix_in_name_order(search: _Search, order: list[str], variables: list[str], found: tuple) -> tuple:
+    """The first falsifying leaf with the variables sorted by name, given
+    found, the search's first one in its own order: the variables are
+    fixed in name order, each to its least value that still has a
+    falsifying leaf, by further runs with the fixed ones bounded to their
+    values. A variable all of whose shallower depths are fixed takes no
+    run: the last run passed every leaf with those values and a smaller
+    value of it before its falsifying leaf. Returns the values in name
+    order and the values of the two sides there."""
+    depth = dict(zip(order, range(len(order))))
+    fixed = 0  # the depths above it are bound to one value each
+    for x in variables:
+        d = depth[x]
+        for e in range(found[0][d] if d > fixed else 0):
+            search.bound(d, e)
+            leaf = search.first_leaf()
+            if leaf:
+                found = leaf
+                break
+        search.bound(d, found[0][d])
+        while fixed < len(order) and search.lo[fixed] == search.hi[fixed]:
+            fixed += 1
+    values, left, right = found
+    return [values[depth[x]] for x in variables], left, right
 
 
 def _component_label(base: Term, q) -> str:
@@ -317,7 +683,6 @@ def cross_validate(
     max_word_len: int = 4,
     commutative: bool = False,
     label: str = "",
-    cap: int = BRUTE_FORCE_CAP,
 ) -> CrossValReport:
     """Generate seeded random identities and compare decider vs oracle.
 
@@ -338,7 +703,7 @@ def cross_validate(
     for _ in range(samples):
         ident = random_identity(rng, max_vars, max_words, max_word_len, commutative)
         syn = syntactic(ident)
-        oracle = holds_bruteforce(s, ident, cap=cap)
+        oracle = holds_bruteforce(s, ident)
         if syn.holds != oracle.holds:
             report.disagreements.append(
                 {

@@ -1,9 +1,11 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from aisemiring import builtin, semiring_to_json
-from aisemiring.cli import build_parser, main
+from aisemiring.cli import _json_text, build_parser, main
 
 
 def run(capsys, *argv):
@@ -60,6 +62,8 @@ class TestCheck:
         assert doc["agreement"] is True
         assert doc["results"]["oracle"]["holds"] is False
         assert doc["results"]["oracle"]["witness"] == {"x": "∞", "y": "a"}
+        assert doc["results"]["oracle"]["stats"] == {"nodes": 10, "memo_hits": 0, "top_pruned": 2}
+        assert "stats" not in doc["results"]["syntactic"]
 
     def test_oracle_is_default_method(self, capsys):
         code, out, _ = run(
@@ -153,16 +157,26 @@ class TestCheck:
 
 
     def test_oracle_cap_with_a_huge_assignment_count(self, capsys, tmp_path):
-        # 4^7200 has over 4,300 digits, past what str() of an int allows
+        # 4^7200 assignments, but the memo settles it in a few nodes per variable
         side = " + ".join(f"v{i}" for i in range(7200))
         path = tmp_path / "wide.txt"
         path.write_text(f"{side} == {side} + v0*v1\n")
         code, out, err = run(
             capsys, "check", "--semiring", "S7_0", "--method", "oracle", "--identity", str(path)
         )
+        assert code == 1
+        assert not err
+        witness = out.splitlines()[3]
+        assert witness.startswith("  witness: v0=a, v1=a, ")
+
+    def test_oracle_node_budget_exits_two(self, capsys, monkeypatch):
+        monkeypatch.setattr("aisemiring.deciders.ORACLE_NODE_BUDGET", 20)
+        code, out, err = run(
+            capsys, "check", "--semiring", "S7_0", "--identity", "x*y*z + w == x*y*z + w + w*x"
+        )
         assert code == 2
         assert not out
-        assert "4^7200" in err and "cap" in err
+        assert "nodes visited, budget 20" in err and "cap" in err
 
     def test_commutative_identity_over_noncommutative_table(self, capsys, tmp_path):
         # + is max and x*y = x: a valid ai-semiring whose product does not commute
@@ -181,6 +195,27 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "--semiring", str(path), "--identity", "x*y == y*x")
         assert code == 1
         assert "witness: x=p, y=q" in out
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text() | st.integers() | st.booleans() | st.none(), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+class TestJsonText:
+    @given(JSON_VALUES)
+    def test_same_text_as_json_dumps(self, value):
+        assert _json_text(value) == json.dumps(value, indent=2, ensure_ascii=False)
+
+    def test_same_errors_as_json_dumps(self):
+        for value in ({(1, 2): 3}, {1: object()}):
+            with pytest.raises(TypeError):
+                json.dumps(value, indent=2, ensure_ascii=False)
+            with pytest.raises(TypeError):
+                _json_text(value)
 
 
 class TestParserReuse:
@@ -232,6 +267,13 @@ class TestWitness:
         for name in ("contents-equal", "delta-empty", "odd-cycle", "syntactic", "oracle"):
             assert f"{name}: pass" in out
 
+    def test_n7_with_oracle(self, capsys):
+        # 4^15 assignments: beyond the old assignment cap, a few thousand nodes
+        code, out, _ = run(capsys, "witness", "--n", "7", "--oracle")
+        assert code == 0
+        assert "oracle: pass (2592 nodes visited)" in out
+        assert "overall: pass" in out
+
     def test_oracle_skip_is_visible(self, capsys):
         code, out, _ = run(capsys, "witness", "--n", "4")
         assert code == 0
@@ -253,7 +295,7 @@ class TestWitness:
         assert code == 0
         for name in ("contents-equal", "delta-empty", "odd-cycle", "syntactic"):
             assert f"{name}: pass" in out
-        assert "oracle: skipped (skipped: 4^9999 assignments" in out
+        assert "oracle: skipped (4^9999 assignments exceed the limit 100000)" in out
 
 
 class TestAxiomCheck:
