@@ -33,6 +33,19 @@ class FiniteSemiring:
     def size(self) -> int:
         return len(self.elements)
 
+    @functools.cached_property
+    def additive_top(self) -> int:
+        """Index of the sum of all elements, which absorbs every element
+        under + in an ai-semiring."""
+        top = 0
+        for e in range(self.size):
+            top = self.add[top][e]
+        return top
+
+    @functools.cached_property
+    def mul_commutes(self) -> bool:
+        return self.mul == tuple(zip(*self.mul))
+
     def index_of(self, name: str) -> int:
         try:
             return self.elements.index(name)

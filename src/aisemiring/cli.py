@@ -31,7 +31,7 @@ from .derivation import (
     apply_step,
     axioms_from_json,
     chain_from_json,
-    chain_to_json,
+    chain_to_dict,
     search_derivation,
     verify_chain,
 )
@@ -145,12 +145,13 @@ def cmd_check(args) -> int:
     if syntactic is not None:
         results["syntactic"] = syntactic(ident)
 
-    lines = [f"identity: {ident}", f"semiring: {label}"]
+    text = str(ident)
+    lines = [f"identity: {text}", f"semiring: {label}"]
     for name in ("oracle", "syntactic"):
         if name in results:
             lines.extend(_verdict_lines(name, results[name]))
     doc = {
-        "identity": str(ident),
+        "identity": text,
         "semiring": label,
         "method": args.method,
         "results": {name: v.to_dict() for name, v in results.items()},
@@ -182,16 +183,13 @@ _STATUS = {True: "pass", False: "fail", None: "skipped"}
 def cmd_witness(args) -> int:
     pair = make_witness(args.n)
     report = check_witness_facts(pair, force_oracle=args.oracle)
-    lines = [
-        f"witness n={pair.n}",
-        f"u = {pair.u}",
-        f"q = {format_word(pair.q)}",
-    ]
+    u, q = str(pair.u), format_word(pair.q)
+    lines = [f"witness n={pair.n}", f"u = {u}", f"q = {q}"]
     for c in report.checks:
         note = f" ({c.note})" if c.note else ""
         lines.append(f"{c.name}: {_STATUS[c.passed]}{note}")
     lines.append(f"overall: {'pass' if report.ok else 'fail'}")
-    doc = {"u": str(pair.u), "q": format_word(pair.q)}
+    doc = {"u": u, "q": q}
     doc.update(report.to_dict())
     _emit(args, lines, doc)
     return 0 if report.ok else 1
@@ -200,7 +198,8 @@ def cmd_witness(args) -> int:
 def cmd_axiom_check(args) -> int:
     ident = _identity_arg(args.identity, args.commutative)
     report = check_axiom_conditions(ident.lhs, ident.rhs)
-    lines = [f"identity: {ident}"]
+    text = str(ident)
+    lines = [f"identity: {text}"]
     for c in report.conditions:
         note = f" ({c.witness})" if c.witness else ""
         lines.append(f"({c.name}) {CONDITION_TEXT[c.name]}: {_STATUS[c.passed]}{note}")
@@ -210,7 +209,7 @@ def cmd_axiom_check(args) -> int:
         f"every variable covered: {'yes' if report.every_variable_covered else 'no'}"
     )
     lines.append(f"B within A: {'yes' if report.b_subset_a else 'no'}")
-    doc = {"identity": str(ident)}
+    doc = {"identity": text}
     doc.update(report.to_dict())
     _emit(args, lines, doc)
     return 0 if report.ok else 1
@@ -272,7 +271,7 @@ def cmd_derive_search(args) -> int:
             "max_word_len": bounds.max_word_len,
             "max_image_words": bounds.max_image_words,
         },
-        "chain": json.loads(chain_to_json(outcome.chain)) if outcome.found else None,
+        "chain": chain_to_dict(outcome.chain) if outcome.found else None,
         "stats": {"truncated_by": outcome.truncated_by, "matched": outcome.matched},
     }
     if outcome.found:

@@ -312,10 +312,7 @@ class _Search:
                         entries[d].append(run)
                 entries[last].append(closing[side])
         n = s.size
-        top = 0
-        for e in range(n):
-            top = s.add[top][e]
-        self.s, self.k, self.top = s, k, top
+        self.s, self.k, self.top = s, k, s.additive_top
         self.words, self.mem, self.entries = words, mem, entries
         self.leaf_lhs, self.leaf_rhs = leaf_lhs, entries[-1]
         self.held = None  # per depth, the getter of the live run products, on first need
@@ -449,7 +446,7 @@ def holds_bruteforce(s: FiniteSemiring, ident: Identity) -> Verdict:
     every loader checks; a commutative-mode identity also needs a
     commutative multiplication.
     """
-    if ident.commutative and s.mul != tuple(zip(*s.mul)):
+    if ident.commutative and not s.mul_commutes:
         a, b = next(
             (a, b) for a in s.elements for b in s.elements
             if s.mul_named(a, b) != s.mul_named(b, a)

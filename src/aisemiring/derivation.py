@@ -476,11 +476,14 @@ def _term_or_none(value, commutative: bool) -> Term | None:
     return parse_term(value, commutative)
 
 
-def chain_to_json(chain: DerivationChain) -> str:
+def chain_to_dict(chain: DerivationChain) -> dict:
+    """The chain's JSON document: the layout chain_to_json writes and
+    chain_from_json reads."""
+
     def term_str(t: Term | None):
         return None if t is None else str(t)
 
-    doc = {
+    return {
         "commutative": chain.start.commutative,
         "start": str(chain.start),
         "steps": [
@@ -496,7 +499,10 @@ def chain_to_json(chain: DerivationChain) -> str:
         ],
         "end": str(chain.end),
     }
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+
+def chain_to_json(chain: DerivationChain) -> str:
+    return json.dumps(chain_to_dict(chain), indent=2, ensure_ascii=False) + "\n"
 
 
 def chain_from_json(text: str) -> DerivationChain:

@@ -11,12 +11,15 @@ names make implicit juxtaposition ambiguous. "^k" expands to k-fold
 repetition at parse time; the core never stores exponents. Whitespace is
 insignificant. A word, exponents expanded, has at most MAX_WORD_LENGTH
 letters; longer ones are rejected with a ParseError.
+
+The text is scanned in one linear regex pass; a ParseError works out its
+line and column from the offset of the token it names.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from string import ascii_letters
 
 from .terms import Identity, Term, Word
 
@@ -30,112 +33,88 @@ class ParseError(ValueError):
         self.column = column
 
 
-_TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<var>[A-Za-z][A-Za-z0-9_]*)"
-    r"|(?P<int>\d+)"
-    r"|(?P<eq>==|≈)"
-    r"|(?P<op>[+*^])"
-)
+# a token is a variable, an integer, a relation or an operator; any other
+# non-space character is a one-character stray token. The scanner reads
+# text.rstrip(), so every whitespace run is followed by a token and \s*
+# never backtracks.
+_TOKEN_RE = re.compile(r"\s*([A-Za-z][A-Za-z0-9_]*|\d+|==|[≈+*^]|\S)")
+_LETTERS = frozenset(ascii_letters)
+_SYMBOLS = frozenset(("==", "≈", "+", "*", "^", ""))  # "" ends the tokens
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    column: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        chunk = m.group()
-        if kind != "ws":
-            tokens.append(_Token(kind, chunk, line, col))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
-        pos = m.end()
-    tokens.append(_Token("end", "", line, col))
-    return tokens
+def _is_stray(tok: str) -> bool:
+    """True for a character that starts no token (the scanner's last alternative)."""
+    return not (tok[:1] in _LETTERS or tok.isdecimal() or tok in _SYMBOLS)
 
 
 class _Parser:
+    """Recursive descent over the tokens of text, ended by "" at the end of
+    input. A stray token is never one the grammar accepts, so a parse
+    that succeeds met none; one that fails reports the first stray token,
+    if there is one, before its own error."""
+
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.tokens = _TOKEN_RE.findall(text.rstrip())
+        self.tokens.append("")
         self.pos = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def fail(self, message: str):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.column)
-
-    def parse_factor(self) -> tuple[str, int]:
-        tok = self.peek()
-        if tok.kind != "var":
-            self.fail(
-                "expected a variable"
-                if tok.kind != "end"
-                else "unexpected end of input, expected a variable"
-            )
-        self.advance()
-        exponent = 1
-        if self.peek().kind == "op" and self.peek().text == "^":
-            self.advance()
-            etok = self.peek()
-            if etok.kind != "int":
-                self.fail("expected an integer exponent after '^'")
-            self.advance()
-            # count digits before int(), which refuses strings of over 4300
-            digits = etok.text.lstrip("0") or "0"
-            if len(digits) > len(str(MAX_WORD_LENGTH)):
-                digits = str(MAX_WORD_LENGTH + 1)
-            exponent = int(digits)
-            if exponent < 1:
-                raise ParseError("exponent must be positive", etok.line, etok.column)
-        return tok.text, exponent
+    def fail(self, message: str, index: int):
+        """Raise a ParseError at tokens[index]."""
+        tokens = self.tokens
+        stray = next((i for i, tok in enumerate(tokens) if _is_stray(tok)), None)
+        if stray is not None:
+            index, message = stray, f"unexpected character {tokens[stray]!r}"
+        text = self.text
+        starts = [m.start(1) for m in _TOKEN_RE.finditer(text.rstrip())] + [len(text)]
+        p = starts[index]
+        raise ParseError(message, text.count("\n", 0, p) + 1, p - text.rfind("\n", 0, p))
 
     def parse_word(self) -> Word:
-        letters = []
+        tokens = self.tokens
+        i = self.pos
+        letters: list[str] = []
         while True:
-            tok = self.peek()
-            name, k = self.parse_factor()
-            if len(letters) + k > MAX_WORD_LENGTH:
-                raise ParseError(
-                    f"word longer than {MAX_WORD_LENGTH} letters", tok.line, tok.column
+            name = tokens[i]
+            if name[:1] not in _LETTERS:
+                self.fail(
+                    "expected a variable"
+                    if name
+                    else "unexpected end of input, expected a variable",
+                    i,
                 )
+            k, after = 1, i + 1
+            if tokens[after] == "^":
+                digits = tokens[i + 2]
+                if not digits.isdecimal():
+                    self.fail("expected an integer exponent after '^'", i + 2)
+                # count digits before int(), which refuses strings of over 4300
+                digits = digits.lstrip("0") or "0"
+                if len(digits) > len(str(MAX_WORD_LENGTH)):
+                    digits = str(MAX_WORD_LENGTH + 1)
+                k, after = int(digits), i + 3
+                if k < 1:
+                    self.fail("exponent must be positive", i + 2)
+            if len(letters) + k > MAX_WORD_LENGTH:
+                self.fail(f"word longer than {MAX_WORD_LENGTH} letters", i)
             letters.extend([name] * k)
-            if not (self.peek().kind == "op" and self.peek().text == "*"):
+            i = after
+            if tokens[i] != "*":
+                self.pos = i
                 return tuple(letters)
-            self.advance()
+            i += 1
 
     def parse_term_words(self) -> list[Word]:
         words = [self.parse_word()]
-        while self.peek().kind == "op" and self.peek().text == "+":
-            self.advance()
+        while self.tokens[self.pos] == "+":
+            self.pos += 1
             words.append(self.parse_word())
         return words
 
     def expect_end(self):
-        if self.peek().kind != "end":
-            self.fail(f"unexpected {self.peek().text!r}")
+        tok = self.tokens[self.pos]
+        if tok:
+            self.fail(f"unexpected {tok!r}", self.pos)
 
 
 def parse_term(text: str, commutative: bool = False) -> Term:
@@ -158,10 +137,9 @@ def parse_identity(text: str, commutative: bool = False) -> Identity:
     """Parse lhs == rhs (or lhs ≈ rhs) into an Identity."""
     p = _Parser(text)
     lhs = p.parse_term_words()
-    tok = p.peek()
-    if tok.kind != "eq":
-        p.fail("expected '==' or '≈' between the two sides")
-    p.advance()
+    if p.tokens[p.pos] not in ("==", "≈"):
+        p.fail("expected '==' or '≈' between the two sides", p.pos)
+    p.pos += 1
     rhs = p.parse_term_words()
     p.expect_end()
     return Identity(Term(lhs, commutative), Term(rhs, commutative))

@@ -176,7 +176,8 @@ def delta_sets(u: Term) -> frozenset[frozenset[str]]:
     where: dict[str, list[int]] = {}  # letter -> the words it occurs in, once each
     banned = set()
     for i, w in enumerate(words):
-        for x, k in Counter(w).items():
+        counts = dict.fromkeys(w, 1) if is_linear(w) else Counter(w)
+        for x, k in counts.items():
             if k > 1:
                 banned.add(x)
             else:

@@ -242,11 +242,13 @@ def check_axiom_conditions(a: Term, b: Term) -> ConditionReport:
         )
     )
 
+    # a subword is no longer and has no new letter; only pairs passing
+    # both cheap tests compare letter multisets
     violation = ""
-    counters = [(w, Counter(w)) for w in a.words]
-    for w1, c1 in counters:
-        for w2, c2 in counters:
-            if w1 != w2 and c1 <= c2:
+    contents = [(w, frozenset(w)) for w in a.words]
+    for w1, s1 in contents:
+        for w2, s2 in contents:
+            if w1 != w2 and len(w1) <= len(w2) and s1 <= s2 and Counter(w1) <= Counter(w2):
                 violation = (
                     f"{format_word(w1)} is a subword of the distinct word "
                     f"{format_word(w2)}"

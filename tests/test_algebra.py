@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from aisemiring import (
+    BUILTIN_NAMES,
     AxiomViolation,
     Congruence,
     CongruenceViolation,
@@ -88,6 +89,12 @@ class TestBuiltins:
         for _ in range(2):
             with pytest.raises(ValueError, match="unknown builtin"):
                 builtin("S8")
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_table_facts(self, name):
+        s = builtin(name)
+        assert all(s.add[s.additive_top][e] == s.additive_top for e in range(s.size))
+        assert s.mul_commutes
 
 
 class TestValidation:

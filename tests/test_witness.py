@@ -1,6 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aisemiring import (
     Term,
@@ -13,6 +16,7 @@ from aisemiring import (
     parse_identity,
     parse_term,
 )
+from aisemiring.terms import format_word
 
 
 class TestMakeWitness:
@@ -145,6 +149,50 @@ class TestAxiomConditions:
         a = parse_term("x*y + y*z")
         report = check_axiom_conditions(a, a)
         assert [sorted(z) for z in report.delta] == [["y"], ["x", "z"]]
+
+    @pytest.mark.parametrize(
+        "text, passed",
+        [("x*y + y*x", False), ("x + x*x", False), ("x*x + x*y", True)],
+    )
+    def test_condition_c_cases(self, text, passed):
+        # x*y and y*x are distinct words with the same letter multiset;
+        # x*x passes the length and letter-set tests against x*y, not the
+        # multiset one
+        a = parse_term(text)
+        check = check_axiom_conditions(a, a).condition("c")
+        assert check.passed is passed
+        assert (check.passed, check.witness) == _reference_condition_c(a)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.sampled_from("xyz"), min_size=1, max_size=4).map(tuple),
+            min_size=1,
+            max_size=5,
+        ),
+        st.booleans(),
+    )
+    def test_condition_c_matches_counter_loop(self, words, commutative):
+        a = Term(words, commutative)
+        check = check_axiom_conditions(a, a).condition("c")
+        assert (check.passed, check.witness) == _reference_condition_c(a)
+
+
+def _reference_condition_c(a: Term) -> tuple[bool, str]:
+    """Condition (c) as a Counter comparison of every ordered pair of words."""
+    violation = ""
+    counters = [(w, Counter(w)) for w in a.words]
+    for w1, c1 in counters:
+        for w2, c2 in counters:
+            if w1 != w2 and c1 <= c2:
+                violation = (
+                    f"{format_word(w1)} is a subword of the distinct word "
+                    f"{format_word(w2)}"
+                )
+                break
+        if violation:
+            break
+    return not violation, violation
 
 
 def random_condition_clean_bipartite_term(rng: random.Random) -> Term:
