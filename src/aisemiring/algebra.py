@@ -124,12 +124,9 @@ def validate_ai_semiring(elements, add, mul) -> FiniteSemiring | AxiomViolation:
     indices) raise ValueError instead: structural errors are not axiom
     violations.
     """
-    elements = tuple(elements)
-    add = tuple(tuple(row) for row in add)
-    mul = tuple(tuple(row) for row in mul)
-    _check_shape(elements, add, mul)
-    n = len(elements)
-    rng = range(n)
+    s = FiniteSemiring(tuple(elements), tuple(map(tuple, add)), tuple(map(tuple, mul)))
+    elements, add, mul = s.elements, s.add, s.mul
+    rng = range(s.size)
 
     for a in rng:
         if add[a][a] != a:
@@ -156,7 +153,7 @@ def validate_ai_semiring(elements, add, mul) -> FiniteSemiring | AxiomViolation:
             return AxiomViolation(
                 "right distributivity", (elements[a], elements[b], elements[c])
             )
-    return FiniteSemiring(elements, add, mul)
+    return s
 
 
 def adjoin_zero(s: FiniteSemiring, zero_name: str) -> FiniteSemiring:
@@ -240,13 +237,13 @@ def quotient(s: FiniteSemiring, rho: Congruence) -> FiniteSemiring:
     return result
 
 
-def find_isomorphism(s1: FiniteSemiring, s2: FiniteSemiring, cap: int = ISO_CARRIER_CAP):
+def find_isomorphism(s1: FiniteSemiring, s2: FiniteSemiring):
     """Search all carrier bijections; return one transporting both tables, or None."""
     if s1.size != s2.size:
         return None
     n = s1.size
-    if n > cap:
-        raise SizeLimitError(f"isomorphism search capped at carrier size {cap}, got {n}")
+    if n > ISO_CARRIER_CAP:
+        raise SizeLimitError(f"isomorphism search capped at carrier size {ISO_CARRIER_CAP}, got {n}")
     rng = range(n)
     for perm in itertools.permutations(rng):
         if all(
@@ -259,8 +256,8 @@ def find_isomorphism(s1: FiniteSemiring, s2: FiniteSemiring, cap: int = ISO_CARR
     return None
 
 
-def is_isomorphic(s1: FiniteSemiring, s2: FiniteSemiring, cap: int = ISO_CARRIER_CAP) -> bool:
-    return find_isomorphism(s1, s2, cap=cap) is not None
+def is_isomorphic(s1: FiniteSemiring, s2: FiniteSemiring) -> bool:
+    return find_isomorphism(s1, s2) is not None
 
 
 _S7_ELEMENTS = ("1", "a", "0")

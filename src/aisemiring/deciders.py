@@ -18,7 +18,7 @@ from itertools import count
 from operator import itemgetter
 from typing import Callable
 
-from .algebra import FiniteSemiring, builtin
+from .algebra import FiniteSemiring
 from .errors import SizeLimitError
 from .terms import (
     Identity,
@@ -62,43 +62,47 @@ class Verdict:
 
 
 @lru_cache(maxsize=4096)
-def _word_runs(w: tuple[int, ...]) -> tuple:
+def _word_plan(w: tuple[int, ...], offset: int) -> tuple:
     """How the oracle evaluates a word given by variable indices, one
-    variable at a time.
+    variable at a time, with the word's cells in the oracle's memory from
+    offset on.
 
     After depth d the word's assigned letters (index at most d) form
     maximal runs, and the oracle keeps the product of each: a run of one
     letter is that variable's value, a longer run has a cell of its own.
-    A run is named by a token: its variable's index, or -1 - r for the
-    word's r-th cell. Assigning d creates the runs that hold its letters,
-    each absorbing its neighbours, with the product of its tokens; the
-    other runs stay. Returns (size, steps, last, tokens): size is the
-    number of cells; steps has a (d, made, gone, live) tuple for each
-    variable d of the word but the last, in increasing order, with made a
-    (cell, tokens) pair per new run with a cell, gone and live the names
-    of the runs absorbed and created; last is the last variable and tokens
-    make the whole word there, its value. Runs are found by bisection, so
-    a word costs about linear time.
+    A run is named by its place in memory: its variable's index, or its
+    cell's. Assigning d creates the runs that hold its letters, each
+    absorbing its neighbours, with the product of their names; the other
+    runs stay. Returns (size, steps, last, first, rest): size is the number
+    of cells; steps has a (d, made, gone, live) tuple for each variable d
+    of the word, in increasing order, with made a (cell, first, rest)
+    product per new run with a cell, gone and live the names of the runs
+    absorbed and created; at the last variable, last, all runs join into
+    the whole word, the product of first and rest, and no run is made or
+    left live. Runs are found by bisection, so a word costs about linear
+    time.
     """
     positions: dict[int, list[int]] = {}
     for p, x in enumerate(w):
         positions.setdefault(x, []).append(p)
     runs: tuple[list[int], list[int], list[int]] = ([], [], [])  # first, last position, name
-    fresh = count()
+    cells = count(offset)
     *opens, last = sorted(positions)
-    steps = tuple((d, *_merge_runs(runs, positions[d], d, fresh)) for d in opens)
-    size = next(fresh)
-    made, gone, live = _merge_runs(runs, positions[last], last, fresh)
-    return size, steps, last, made[0][1] if made else live
+    steps = [(d, *_merge_runs(runs, positions[d], d, cells)) for d in opens]
+    size = next(cells) - offset
+    made, gone, _ = _merge_runs(runs, positions[last], last, cells)
+    first, rest = made[0][1:] if made else (last, ())
+    steps.append((last, (), gone, ()))
+    return size, tuple(steps), last, first, rest
 
 
-def _merge_runs(runs, positions: list[int], x: int, fresh) -> tuple:
+def _merge_runs(runs, positions: list[int], x: int, cells) -> tuple:
     """Add the letters of variable x, at the given positions, to a word's
-    runs; returns (made, gone, live) as in _word_runs, cells drawn from
-    fresh."""
+    runs; returns (made, gone, live) as in _word_plan, with new cells
+    drawn from the iterator cells."""
     starts, ends, names = runs
     old = len(starts)
-    created = []  # [first absorbed run, after the last one, tokens, first, last position]
+    created = []  # [first absorbed run, after the last one, names, first, last position]
     for p in positions:
         j = bisect_left(starts, p)
         if created and created[-1][4] == p - 1:
@@ -114,41 +118,17 @@ def _merge_runs(runs, positions: list[int], x: int, fresh) -> tuple:
             run[1], run[4] = j + 1, ends[j]
     made, gone, live = [], [], []
     for run in created:
-        tokens = run[2]
-        gone += [t for t in tokens if t != x]  # absorbed runs are named otherwise
-        if len(tokens) > 1:
-            cell = next(fresh)
-            made.append((cell, tuple(tokens)))
-            live.append(-1 - cell)
+        head, *rest = run[2]
+        gone += [t for t in run[2] if t != x]  # absorbed runs are named otherwise
+        if rest:
+            cell = next(cells)
+            made.append((cell, head, tuple(rest)))
+            live.append(cell)
         else:
             live.append(x)
     for (a, b, _, first, last), name in zip(reversed(created), reversed(live)):
         starts[a:b], ends[a:b], names[a:b] = [first], [last], [name]
     return tuple(made), tuple(gone), tuple(live)
-
-
-@lru_cache(maxsize=4096)
-def _word_plan(w: tuple[int, ...], offset: int) -> tuple:
-    """_word_runs(w) with the word's cells placed in the oracle's memory
-    from offset on, so that every token is a memory index: (size, made,
-    last, closing), where made has a (d, (cell, first, rest)) pair per run
-    with a cell, and closing holds the (target, first, rest) entries of the
-    whole word on the lhs and on the rhs (see holds_bruteforce)."""
-    size, steps, last, tokens = _word_runs(w)
-    made = tuple(
-        (d, (offset + cell, *_placed(run, offset)))
-        for d, cells, _, _ in steps
-        for cell, run in cells
-    )
-    first, rest = _placed(tokens, offset)
-    return size, made, last, ((-1, first, rest), (-2, first, rest))
-
-
-def _placed(tokens: tuple[int, ...], offset: int) -> tuple:
-    """The first token and the tuple of the others, each a memory index
-    for a word whose cells start at offset."""
-    first, *rest = [t if t >= 0 else offset - 1 - t for t in tokens]
-    return first, tuple(rest)
 
 
 def _search_order(words: list[tuple[str, ...]], commutative: bool) -> list[str]:
@@ -207,53 +187,46 @@ def _search_order(words: list[tuple[str, ...]], commutative: bool) -> list[str]:
     return order
 
 
-def _first_difference(leaf_lhs, leaf_rhs, left: int, right: int, d: int, values: range, mem, add, mul):
+def _first_difference(closing, left: int, right: int, d: int, values: range, mem, add, mul):
     """The first of the values of variable d, the last one, where the
     sides differ, with the values of the sides there, or None when they
     agree at every value. left and right are the running sums handed down;
-    leaf_lhs and leaf_rhs the words closing at d (see _Search)."""
+    closing holds the entries of the words closing at d (see _Search)."""
     base_lhs, base_rhs = left, right
     for e in values:
         mem[d] = e
         left, right = base_lhs, base_rhs
-        for _, first, rest in leaf_lhs:
+        for target, first, rest in closing:
             v = mem[first]
             for t in rest:
                 v = mul[v][mem[t]]
-            left = v if left < 0 else add[left][v]
-        for _, first, rest in leaf_rhs:
-            v = mem[first]
-            for t in rest:
-                v = mul[v][mem[t]]
-            right = v if right < 0 else add[right][v]
+            if target == -1:
+                left = v if left < 0 else add[left][v]
+            else:
+                right = v if right < 0 else add[right][v]
         if left != right:
             return e, left, right
     return None
 
 
-def _live_getters(words: list[tuple[int, ...]], k: int) -> list:
+def _live_getters(word_steps: list[tuple], k: int) -> list:
     """Per depth, the getter of the memory indices of the live runs, those
     of the words with letters assigned and unassigned, or None if none is
-    live; words are the coded words, placed as _Search places them."""
-    changes: list[list] = [[] for _ in range(k)]  # per depth, (offset, gone, created) names
-    offset = k
-    for w in words:
-        size, steps, last, tokens = _word_runs(w)
+    live; word_steps holds the steps of each word's plan (see _word_plan),
+    as _Search made them."""
+    changes: list[list] = [[] for _ in range(k)]  # per depth, (gone, created) runs
+    for steps in word_steps:
         for d, _, gone, created in steps:
-            changes[d].append((offset, gone, created))
-        changes[last].append((offset, tuple(t for t in tokens if t != last), ()))
-        offset += size
+            changes[d].append((gone, created))
     getters = []
     live: dict[int, int] = {}  # the memory index of each live run, with its count
     for depth_changes in changes:
-        for offset, gone, created in depth_changes:
+        for gone, created in depth_changes:
             for t in gone:
-                t = t if t >= 0 else offset - 1 - t
                 live[t] -= 1
                 if not live[t]:
                     del live[t]
             for t in created:
-                t = t if t >= 0 else offset - 1 - t
                 live[t] = live.get(t, 0) + 1
         getters.append(itemgetter(*live) if live else None)
     return getters
@@ -278,12 +251,14 @@ class _Search:
 
     The variables are coded by their depth in the order. Each word keeps
     the products of the maximal runs of its assigned letters, updated at
-    its own variables only (see _word_runs); at its last variable that is
+    its own variables only (see _word_plan); at its last variable that is
     the word's value, and it joins its side's running sum. mem holds the
     value of each variable, then the cells of the words. entries[d] holds
     (target, first, rest) for each product made at depth d, of mem at the
-    tokens first and rest: a run, stored in mem[target], or a whole word,
-    joining the running sum of the lhs (target -1) or of the rhs (-2).
+    indices first and rest: a run, stored in mem[target], or a whole word,
+    joining the running sum of the lhs (target -1) or of the rhs (-2). A
+    word with the last variable closes there, so entries at the last depth
+    are whole words only.
     """
 
     def __init__(self, s: FiniteSemiring, ident: Identity, order: list[str]):
@@ -298,23 +273,18 @@ class _Search:
             words = [[tuple(map(index, w)) for w in side] for side in sides]
         mem = [0] * k
         entries: list[list] = [[] for _ in order]
+        word_steps = []
         for side, coded in enumerate(words):
-            if side:
-                # every word with the last variable closes there, so the
-                # leaves can take each side's words apart
-                leaf_lhs = entries[-1]
-                entries[-1] = []
             for w in coded:
-                size, made, last, closing = _word_plan(w, len(mem))
-                if size:
-                    mem += [-1] * size
-                    for d, run in made:
-                        entries[d].append(run)
-                entries[last].append(closing[side])
+                size, steps, last, first, rest = _word_plan(w, len(mem))
+                mem += [-1] * size
+                for d, made, _, _ in steps:
+                    entries[d] += made
+                entries[last].append((-1 - side, first, rest))
+                word_steps.append(steps)
         n = s.size
         self.s, self.k, self.top = s, k, s.additive_top
-        self.words, self.mem, self.entries = words, mem, entries
-        self.leaf_lhs, self.leaf_rhs = leaf_lhs, entries[-1]
+        self.word_steps, self.mem, self.entries = word_steps, mem, entries
         self.held = None  # per depth, the getter of the live run products, on first need
         self.lo, self.hi = [0] * k, [n - 1] * k
         self.cleared: dict[int, set] = {}  # per depth, the keys of exhausted subtrees
@@ -397,9 +367,7 @@ class _Search:
                     continue
             else:
                 values = range(lo[d], hi[d] + 1)
-                found = _first_difference(
-                    self.leaf_lhs, self.leaf_rhs, lhs_sums[d], rhs_sums[d], d, values, mem, add, mul
-                )
+                found = _first_difference(entries[d], lhs_sums[d], rhs_sums[d], d, values, mem, add, mul)
                 if found:
                     self.nodes = nodes + found[0] - lo[d] + 1
                     self.memo_hits, self.top_pruned = memo_hits, top_pruned
@@ -419,7 +387,7 @@ class _Search:
                     # the node handed its sums down, and no deeper depth
                     # writes the run products in its key
                     if self.held is None:
-                        self.held = _live_getters([*self.words[0], *self.words[1]], k)
+                        self.held = _live_getters(self.word_steps, k)
                     state = _state(self.held[d], mem, lhs_sums[d + 1], rhs_sums[d + 1])
                     cleared.setdefault(d, set()).add(state)
                     since_bound.append((d, state))
@@ -542,15 +510,13 @@ def holds_s7(ident: Identity) -> Verdict:
     return Verdict(True)
 
 
-BaseDecider = Callable[[FiniteSemiring, Identity], Verdict]
+def holds_s0_lift(base_decider: Callable[[Identity], Verdict], ident: Identity) -> Verdict:
+    """Decide an identity in the zero-adjunction S^0 of a semiring S, given
+    a decider for S (for the oracle, partial(holds_bruteforce, S)).
 
-
-def holds_s0_lift(s: FiniteSemiring, base_decider: BaseDecider, ident: Identity) -> Verdict:
-    """Decide an identity in the zero-adjunction of s, given a decider for s.
-
-    Each component u ≈ u+q holds in s^0 exactly when the words of u with
+    Each component u ≈ u+q holds in S^0 exactly when the words of u with
     content inside c(q) are nonempty and, writing D for that subset,
-    D ≈ D+q holds in s. A failure names the component and the clause:
+    D ≈ D+q holds in S. A failure names the component and the clause:
     empty-cover, or the base verdict's own clause and details (clause
     "base" with the base verdict embedded when the base gives no clause).
     A component whose q is already a word of u holds in every semiring and
@@ -572,7 +538,7 @@ def holds_s0_lift(s: FiniteSemiring, base_decider: BaseDecider, ident: Identity)
                 details={"component": label, "clause": "empty-cover"},
             )
         reduced = Term(cover, base.commutative)
-        sub = base_decider(s, Identity(reduced, reduced.add_word(q)))
+        sub = base_decider(Identity(reduced, reduced.add_word(q)))
         if not sub.holds:
             label = _component_label(base, q)
             if sub.details and "clause" in sub.details:
@@ -590,26 +556,22 @@ def holds_s0_lift(s: FiniteSemiring, base_decider: BaseDecider, ident: Identity)
     return Verdict(True)
 
 
-_S7 = builtin("S7")
-_TRIVIAL = builtin("trivial")
+def _holds_trivial(ident: Identity) -> Verdict:
+    return Verdict(True, reason="the one-element semiring satisfies every identity")
 
 
 def holds_d2(ident: Identity) -> Verdict:
     """Decide an identity in the 2-element distributive lattice, the
     zero-adjunction of the trivial semiring: each component u ≈ u+q holds
     exactly when some word of u has content within the content of q."""
-    return holds_s0_lift(_TRIVIAL, lambda s, i: Verdict(True), ident)
+    return holds_s0_lift(_holds_trivial, ident)
 
 
 def holds_s7_0(ident: Identity) -> Verdict:
     """Decide an identity in S7_0 as the zero-adjunction of S7: per
     component, a nonempty content cover, then cover content equal to c(q)
     and equal delta-set families of the cover with and without q."""
-    return holds_s0_lift(_S7, lambda s, i: holds_s7(i), ident)
-
-
-def _holds_trivial(ident: Identity) -> Verdict:
-    return Verdict(True, reason="the one-element semiring satisfies every identity")
+    return holds_s0_lift(holds_s7, ident)
 
 
 def syntactic_decider(name: str) -> Callable[[Identity], Verdict]:

@@ -94,17 +94,13 @@ class WitnessReport:
         }
 
 
-def check_witness_facts(
-    pair: WitnessPair,
-    oracle_limit: int = ORACLE_ASSIGNMENT_LIMIT,
-    force_oracle: bool = False,
-) -> WitnessReport:
+def check_witness_facts(pair: WitnessPair, force_oracle: bool = False) -> WitnessReport:
     """Check the facts that make the witness family work.
 
     Contents of u and q coincide, delta_sets(u) is empty, the graph of u
     is an odd cycle of full length, and u ≈ u+q holds in the 4-element
     zero-adjoined semiring, by the syntactic criterion always and by the
-    brute-force oracle whenever 4^(2n+1) stays within oracle_limit
+    brute-force oracle whenever 4^(2n+1) stays within ORACLE_ASSIGNMENT_LIMIT
     (force_oracle runs it regardless, within the oracle's node budget). A
     skipped oracle is reported as such without blocking the others.
     """
@@ -139,7 +135,7 @@ def check_witness_facts(
     syn = holds_s7_0(ident)
     checks.append(FactCheck("syntactic", syn.holds, syn.reason or "criterion satisfied"))
 
-    if force_oracle or 4 ** (2 * n + 1) <= oracle_limit:
+    if force_oracle or 4 ** (2 * n + 1) <= ORACLE_ASSIGNMENT_LIMIT:
         try:
             oracle = holds_bruteforce(builtin("S7_0"), ident)
             checks.append(
@@ -156,7 +152,7 @@ def check_witness_facts(
             FactCheck(
                 "oracle",
                 None,
-                f"4^{2 * n + 1} assignments exceed the limit {oracle_limit}",
+                f"4^{2 * n + 1} assignments exceed the limit {ORACLE_ASSIGNMENT_LIMIT}",
             )
         )
 

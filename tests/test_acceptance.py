@@ -158,7 +158,7 @@ def test_criterion_4_oracle_equivalence():
         (builtin("D2"), holds_d2, 4, 1041),
         (s7, holds_s7, 4, 1042),
         (builtin("S7_0"), holds_s7_0, 3, 1043),
-        (adjoin_zero(s7, "∞"), partial(holds_s0_lift, s7, holds_bruteforce), 4, 1044),
+        (adjoin_zero(s7, "∞"), partial(holds_s0_lift, partial(holds_bruteforce, s7)), 4, 1044),
     ]
     for s, criterion, max_vars, seed in pairings:
         report = cross_validate(
@@ -177,7 +177,7 @@ def test_criterion_5_lift_over_trivial_matches_lattice():
     rng = random.Random(551)
     for _ in range(10_000):
         ident = random_identity(rng, max_vars=4, max_words=4, max_word_len=4)
-        via_lift = holds_s0_lift(trivial, holds_bruteforce, ident)
+        via_lift = holds_s0_lift(partial(holds_bruteforce, trivial), ident)
         assert via_lift.holds == holds_d2(ident).holds, str(ident)
     passed(5)
 

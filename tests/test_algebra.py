@@ -10,6 +10,7 @@ from aisemiring import (
     Congruence,
     CongruenceViolation,
     FiniteSemiring,
+    SizeLimitError,
     adjoin_zero,
     builtin,
     find_isomorphism,
@@ -21,6 +22,7 @@ from aisemiring import (
     validate_ai_semiring,
     validate_congruence,
 )
+from aisemiring.algebra import ISO_CARRIER_CAP
 
 
 def named_table(s, table):
@@ -203,6 +205,18 @@ class TestIsomorphism:
         other = validate_ai_semiring(("0", "1"), ((0, 0), (0, 1)), ((0, 0), (0, 1)))
         assert isinstance(other, FiniteSemiring)
         assert not is_isomorphic(builtin("D2"), other)
+
+    def test_carrier_past_the_cap_raises(self):
+        # the 9-chain with + = * = max, twice: a search over 9! bijections
+        n = ISO_CARRIER_CAP + 1
+        table = tuple(tuple(max(i, j) for j in range(n)) for i in range(n))
+        chain = validate_ai_semiring([f"c{i}" for i in range(n)], table, table)
+        copy = FiniteSemiring(tuple(f"d{i}" for i in range(n)), table, table)
+        message = f"^isomorphism search capped at carrier size {ISO_CARRIER_CAP}, got {n}$"
+        with pytest.raises(SizeLimitError, match=message):
+            find_isomorphism(chain, copy)
+        with pytest.raises(SizeLimitError, match=message):
+            is_isomorphic(chain, copy)
 
     @given(st.permutations(range(4)))
     def test_any_relabeling_is_isomorphic(self, perm):

@@ -28,7 +28,7 @@ from aisemiring import (
     random_identity,
     validate_ai_semiring,
 )
-from aisemiring.deciders import _search_order
+from aisemiring.deciders import _search_order, _word_plan
 from aisemiring.terms import fold_words
 
 S7 = builtin("S7")
@@ -37,6 +37,8 @@ D2 = builtin("D2")
 
 SQUARE_ABSORPTION = parse_identity("x^2 + y == x^2*y^2")
 SQUARE_PADDING = parse_identity("x^2 + y == x^2 + y + y^2")
+# the 7-cycle x1*x2 + x2*x3 + ... + x7*x1
+CYCLE_7 = " + ".join(f"x{i}*x{i % 7 + 1}" for i in range(1, 8))
 
 
 class TestSeparatingIdentities:
@@ -114,6 +116,28 @@ class TestBruteForce:
         witness = holds_bruteforce(S7_0, make_witness(4).identity)
         assert witness.stats["memo_hits"] > 0 and witness.stats["top_pruned"] > 0
 
+    @pytest.mark.parametrize(
+        "ident,witness,stats",
+        [
+            (make_witness(5).identity, None, (1776, 322, 555)),
+            (make_witness(12).identity, None, (4632, 1204, 1815)),
+            (parse_identity(f"{CYCLE_7} == {CYCLE_7} + x3*x1*x4*x7*x2*x6*x5"), None, (1668, 68, 296)),
+            (
+                parse_identity(f"{CYCLE_7} + x2*x5*x2 == {CYCLE_7} + x5*x2*x5 + x3*x1*x4*x7*x2*x6*x5"),
+                {"x1": "1", "x2": "a", "x3": "1", "x4": "a", "x5": "1", "x6": "a", "x7": "∞"},
+                (471, 9, 73),
+            ),
+        ],
+        ids=["witness-5", "witness-12", "cycle-holds", "cycle-fails"],
+    )
+    def test_stats_pinned(self, ident, witness, stats):
+        # the counts pin the search itself, not only its answer; the
+        # non-commutative cycles have cells that merge runs, which the
+        # commutative witnesses have not
+        v = holds_bruteforce(S7_0, ident)
+        assert (v.holds, v.witness) == (witness is None, witness)
+        assert v.stats == dict(zip(("nodes", "memo_hits", "top_pruned"), stats))
+
     @settings(max_examples=60)
     @given(st.integers(0, 2**32 - 1))
     def test_failing_witness_actually_separates(self, seed):
@@ -124,6 +148,61 @@ class TestBruteForce:
             left = evaluate(ident.lhs, S7_0, v.witness)
             right = evaluate(ident.rhs, S7_0, v.witness)
             assert left != right
+
+
+def _maximal_runs(w, d):
+    """The (first, last) positions of the maximal runs of letters at most d."""
+    runs = []
+    for p, x in enumerate(w):
+        if x <= d:
+            if runs and runs[-1][1] == p - 1:
+                runs[-1][1] = p
+            else:
+                runs.append([p, p])
+    return [tuple(run) for run in runs]
+
+
+@settings(max_examples=500)
+@given(
+    st.lists(st.integers(0, 5), min_size=1, max_size=8),
+    st.integers(6, 1000),
+    st.lists(st.integers(0, S7_0.size - 1), min_size=6, max_size=6),
+)
+def test_word_plan_replays_to_run_products(w, offset, values):
+    """Replaying a word's plan over values of its variables gives each run
+    the product of the maximal run it stands for, and the closing product
+    the value of the word."""
+    w = tuple(w)
+    size, steps, last, first, rest = _word_plan(w, offset)
+    mem = dict(enumerate(values))
+
+    def product(names):
+        v = mem[names[0]]
+        for t in names[1:]:
+            v = S7_0.mul[v][mem[t]]
+        return v
+
+    assert [d for d, *_ in steps] == sorted(set(w)) and last == max(w)
+    cells = [cell for _, made, _, _ in steps for cell, _, _ in made]
+    assert cells == list(range(offset, offset + size))
+    names = {}  # the name of each maximal run of assigned letters
+    for d, made, gone, live in steps:
+        for cell, head, tail in made:
+            mem[cell] = product((head, *tail))
+        now = _maximal_runs(w, d)
+        absorbed = [names.pop(run) for run in list(names) if run not in now]
+        assert sorted(gone) == sorted(absorbed)
+        created = [(a, b) for a, b in now if d in w[a:b + 1]]
+        if d == last:
+            assert (made, live, created) == ((), (), [(0, len(w) - 1)])
+            break
+        assert [cell for cell, _, _ in made] == [t for t in live if t >= offset]
+        assert len(live) == len(created)
+        for (a, b), name in zip(created, live):
+            assert (name == d) == (a == b)
+            assert mem[name] == product(w[a:b + 1])
+            names[a, b] = name
+    assert product((first, *rest)) == fold_words([w], S7_0.add, S7_0.mul, values)
 
 
 def _reference_scan(s, ident):
@@ -339,7 +418,7 @@ class TestLift:
         rng = random.Random(5150)
         for _ in range(300):
             ident = random_identity(rng, 3, 3, 3)
-            lifted = holds_s0_lift(S7, holds_bruteforce, ident)
+            lifted = holds_s0_lift(partial(holds_bruteforce, S7), ident)
             direct = holds_bruteforce(S7_0, ident)
             assert lifted.holds == direct.holds, str(ident)
 
@@ -347,24 +426,24 @@ class TestLift:
         rng = random.Random(6162)
         for _ in range(300):
             ident = random_identity(rng, 4, 4, 4)
-            lifted = holds_s0_lift(S7, lambda s, i: holds_s7(i), ident)
+            lifted = holds_s0_lift(holds_s7, ident)
             assert lifted.holds == holds_bruteforce(S7_0, ident).holds, str(ident)
 
     def test_lift_over_trivial_matches_d2(self):
         rng = random.Random(7273)
         for _ in range(300):
             ident = random_identity(rng, 4, 4, 4)
-            lifted = holds_s0_lift(builtin("trivial"), lambda s, i: Verdict(True), ident)
+            lifted = holds_s0_lift(lambda i: Verdict(True), ident)
             assert lifted.holds == holds_bruteforce(D2, ident).holds, str(ident)
 
     def test_empty_cover_reported(self):
         ident = parse_identity("x*x == x*x + y")
-        v = holds_s0_lift(S7, holds_bruteforce, ident)
+        v = holds_s0_lift(partial(holds_bruteforce, S7), ident)
         assert not v.holds
         assert v.details["clause"] == "empty-cover"
 
     def test_base_failure_embeds_verdict(self):
-        v = holds_s0_lift(S7, holds_bruteforce, SQUARE_PADDING)
+        v = holds_s0_lift(partial(holds_bruteforce, S7), SQUARE_PADDING)
         assert not v.holds
         assert v.details["clause"] == "base"
         assert v.details["base"]["holds"] is False
@@ -442,7 +521,7 @@ class TestCrossValidate:
         assert all(d["syntactic"] and not d["oracle"] for d in report.disagreements)
 
     def test_lift_pairing(self):
-        lift = partial(holds_s0_lift, S7, holds_bruteforce)
+        lift = partial(holds_s0_lift, partial(holds_bruteforce, S7))
         report = cross_validate(
             adjoin_zero(S7, "∞"),
             lift,
