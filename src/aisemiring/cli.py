@@ -2,6 +2,12 @@
 axiom-shape checks, derivation verify/search, semiring file validation
 and decider-vs-oracle cross-validation. All output is deterministic for
 fixed inputs and seed; --json mirrors the text reports.
+
+build_parser() is the one grammar of the command line, and two readers
+use it. An argv made of a command path and whole option names with plain
+values is read straight from the parser's actions (_exact_args); anything
+else (help, abbreviations, --opt=value, usage errors) goes to argparse,
+which also writes every help text and usage message.
 """
 
 from __future__ import annotations
@@ -342,7 +348,9 @@ def cmd_crossval(args) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process: parse_args keeps no state
-    between calls, each call fills a fresh namespace."""
+    between calls, each call fills a fresh namespace. It is the one
+    declaration of the grammar: _commands() reads the exact-argv table from
+    its actions, and argparse itself handles every other argv."""
     parser = argparse.ArgumentParser(
         prog="aisemiring",
         description="Decide identities in finite additively idempotent semirings.",
@@ -447,8 +455,83 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _commands() -> dict:
+    """build_parser() as a tree: command name -> subtree, down to a leaf
+    (options by whole option string, required actions, namespace defaults)
+    for each command path such as check or derive search. The defaults are
+    those parse_args starts from: every action's default, each parser's
+    set_defaults and the subparser dests naming the path taken."""
+
+    def walk(parser, defaults):
+        defaults = dict(defaults)
+        options, required, sub = {}, set(), None
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                sub = action
+                continue
+            if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+                defaults[action.dest] = action.default
+            if action.required:
+                required.add(action)
+            # one value or a const: the option kinds _exact_args reads as argparse does
+            if action.nargs in (None, 0) and isinstance(
+                action, (argparse._StoreAction, argparse._StoreConstAction)
+            ):
+                options.update(dict.fromkeys(action.option_strings, action))
+        defaults.update(parser._defaults)
+        if sub is None:
+            return options, frozenset(required), defaults
+        return {
+            name: walk(child, {**defaults, sub.dest: name})
+            for name, child in sub.choices.items()
+        }
+
+    return walk(build_parser(), {})
+
+
+def _exact_args(argv):
+    """The namespace build_parser().parse_args(argv) returns, read without
+    argparse, when argv is a command path followed by whole option names,
+    each value not starting with "-" and valid for the option's type and
+    choices, with every required option given (a repeated option keeps its
+    last value). None for any other argv, which argparse then reads."""
+    node, i = _commands(), 0
+    while isinstance(node, dict):
+        if i == len(argv) or argv[i] not in node:
+            return None
+        node, i = node[argv[i]], i + 1
+    options, required, defaults = node
+    values, seen = dict(defaults), set()
+    while i < len(argv):
+        action = options.get(argv[i])
+        if action is None:
+            return None
+        if action.nargs == 0:
+            values[action.dest] = action.const
+            i += 1
+        else:
+            if i + 1 == len(argv) or argv[i + 1].startswith("-"):
+                return None
+            text = argv[i + 1]
+            try:
+                value = text if action.type is None else action.type(text)
+            except (TypeError, ValueError):
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+            values[action.dest] = value
+            i += 2
+        seen.add(action)
+    if not required <= seen:
+        return None
+    return argparse.Namespace(**values)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _exact_args(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, SizeLimitError, OSError) as exc:

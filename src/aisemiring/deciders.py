@@ -472,7 +472,8 @@ def _fix_in_name_order(search: _Search, order: list[str], variables: list[str], 
 
 
 def _component_label(base: Term, q) -> str:
-    return f"{base} == {base} + {format_word(q)}"
+    text = str(base)
+    return f"{text} == {text} + {format_word(q)}"
 
 
 def holds_s7(ident: Identity) -> Verdict:

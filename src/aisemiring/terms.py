@@ -36,6 +36,8 @@ def word_key(w: Word):
 
 def format_word(w: Word) -> str:
     """Render a word in the surface grammar, compressing letter runs to powers."""
+    if len(set(w)) == len(w):  # no letter repeats, so every run has length 1
+        return "*".join(w)
     parts = []
     for letter, run in itertools.groupby(w):
         k = len(list(run))

@@ -1,11 +1,17 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import aisemiring
 from aisemiring import builtin, semiring_to_json
-from aisemiring.cli import _json_text, build_parser, main
+from aisemiring.cli import _exact_args, _json_text, build_parser, main
 
 
 def run(capsys, *argv):
@@ -233,6 +239,183 @@ class TestParserReuse:
         # text, not JSON, and the words kept in the order they were written
         assert out.splitlines()[0] == "identity: y*x == x*y"
         assert "method" not in out
+
+
+def _parsers(parser, path=()):
+    """(command path, parser) for the parser and each subparser below it."""
+    yield path, parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from _parsers(child, path + (name,))
+
+
+# argv tokens drawn from the grammar as argparse declares it
+PARSERS = list(_parsers(build_parser()))
+OPTIONS = sorted({s for _, p in PARSERS for a in p._actions for s in a.option_strings})
+CHOICES = sorted({str(c) for _, p in PARSERS for a in p._actions for c in a.choices or ()})
+ABBREVIATIONS = sorted({s[:k] for s in OPTIONS if s.startswith("--") for k in (3, len(s) - 1)})
+EQUALS_FORMS = sorted({f"{s}={v}" for s in OPTIONS for v in ("3", "x")})
+VALUES = ["-h", "--", "", "-1", "5", "x", "x == x", "bogus", *CHOICES]
+
+
+def _well_formed_piece(action):
+    """An option of the action, followed by a value unless it is a flag."""
+    name = st.sampled_from(action.option_strings)
+    if action.nargs == 0:
+        return st.tuples(name)
+    return st.tuples(name, st.sampled_from([v for v in VALUES if not v.startswith("-")]))
+
+
+def _typed(args):
+    """A namespace's attributes with their types: Namespace equality takes True for 1."""
+    return {key: (type(value), value) for key, value in vars(args).items()}
+
+
+@st.composite
+def grammar_argv(draw):
+    path, parser = draw(st.sampled_from(PARSERS))
+    own = [
+        a for a in parser._actions
+        if a.option_strings and not isinstance(a, argparse._HelpAction)
+    ]
+    value = st.sampled_from(VALUES)
+    if own and draw(st.booleans()):  # options of this command with plain values
+        piece = st.sampled_from(own).flatmap(_well_formed_piece)
+    else:
+        option = st.sampled_from(OPTIONS + ABBREVIATIONS + EQUALS_FORMS)
+        piece = st.tuples(option, value) | st.tuples(option) | st.tuples(value)
+    pieces = draw(st.lists(piece, max_size=8))
+    if draw(st.booleans()):  # every required option once, so that whole argv occur
+        pieces += [draw(_well_formed_piece(a)) for a in own if a.required]
+    pieces = draw(st.permutations(pieces))
+    return [*path, *(token for piece in pieces for token in piece)]
+
+
+class TestExactArgv:
+    @settings(max_examples=500)
+    @given(grammar_argv())
+    def test_reads_what_argparse_reads(self, argv):
+        args = _exact_args(argv)
+        if args is not None:
+            assert _typed(build_parser().parse_args(argv)) == _typed(args)
+
+    def test_repeated_option_keeps_last_value(self):
+        argv = ["witness", "--n", "3", "--json", "--n", "4", "--json"]
+        assert _typed(_exact_args(argv)) == _typed(build_parser().parse_args(argv))
+        assert _exact_args(argv).n == 4
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--semiring", "S7", "--identity", "x == x", "-h"],
+            ["check", "--sem", "S7", "--identity", "x == x"],
+            ["witness", "--n=3"],
+            ["witness", "--", "--n", "3"],
+            ["witness", "--n", "-1"],
+            ["witness", "--n", "x"],
+            ["check", "--semiring", "S7", "--identity", "x == x", "--method", "bogus"],
+            ["check", "--semiring", "S7"],
+            ["derive", "--axioms", "a.json"],
+            [],
+        ],
+    )
+    def test_other_argv_goes_to_argparse(self, argv):
+        assert _exact_args(argv) is None
+
+    def test_abbreviation_accepted(self, capsys):
+        code, out, _ = run(capsys, "check", "--sem", "S7", "--identity", "x == x")
+        assert code == 0
+        assert out.splitlines()[:2] == ["identity: x == x", "semiring: S7"]
+
+    def test_equals_form_accepted(self, capsys):
+        code, out, _ = run(capsys, "witness", "--n=3")
+        assert code == 0
+        assert out.startswith("witness n=3\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["check", "--semiring", "S7", "--identity", "x", "--method", "bogus"],
+                "argument --method: invalid choice: 'bogus'",
+            ),
+            (["witness", "--n", "x"], "argument --n: invalid int value: 'x'"),
+            (
+                ["check", "--semiring", "S7"],
+                "the following arguments are required: --identity",
+            ),
+        ],
+    )
+    def test_usage_errors_exit_two_with_usage(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err.startswith(f"usage: aisemiring {argv[0]} ")
+        assert message in captured.err
+
+    def test_negative_n_reaches_make_witness(self, capsys):
+        code, out, err = run(capsys, "witness", "--n", "-1")
+        assert code == 2
+        assert not out
+        assert "at least 1" in err
+
+    def test_benchmark_shapes_skip_argparse(self, capsys, tmp_path, monkeypatch):
+        def no_argparse(argv=None, namespace=None):
+            raise AssertionError(f"argparse read {argv}")
+
+        monkeypatch.setattr(build_parser(), "parse_args", no_argparse)
+        table = tmp_path / "s7.json"
+        table.write_text(semiring_to_json(builtin("S7")), encoding="utf-8")
+        axiom = tmp_path / "axiom.txt"
+        axiom.write_text("x*y == x*y + y*x", encoding="utf-8")
+        axioms = tmp_path / "axioms.json"
+        axioms.write_text(
+            json.dumps({"axioms": [{"name": "ax1", "identity": "x == x + x*x"}]}),
+            encoding="utf-8",
+        )
+        both = ["check", "--semiring", "S7_0", "--method", "both", "--json"]
+        cases = [
+            (both + ["--identity", "x^2+y == x^2+y+y^2"], 1),
+            (both + ["--identity", "y*x == x*y", "--commutative"], 0),
+            (["check", "--semiring", str(table), "--method", "oracle", "--json",
+              "--identity", "x^2+y == x^2*y^2"], 0),
+            (["witness", "--n", "2", "--oracle", "--json"], 0),
+            (["witness", "--n", "4", "--json"], 0),
+            (["delta", "--term", "x*y + y*z", "--json"], 0),
+            (["axiom-check", "--identity", str(axiom), "--commutative", "--json"], None),
+            (["derive", "search", "--axioms", str(axioms), "--goal", "x*y == x*y + x*y*x*y",
+              "--json", "--max-depth", "2", "--max-words", "4", "--max-len", "4"], 0),
+        ]
+        for argv, expected in cases:
+            code, out, err = run(capsys, *argv)
+            assert not err
+            assert code in (0, 1) if expected is None else code == expected
+            assert isinstance(json.loads(out), dict)
+
+    def test_python_m_reads_sys_argv(self):
+        src = str(Path(aisemiring.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        )}
+
+        def python_m(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "aisemiring", *argv],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+
+        done = python_m("check", "--semiring", "S7", "--identity", "x == x")
+        assert done.returncode == 0
+        assert "oracle: holds" in done.stdout
+        done = python_m("--help")
+        assert done.returncode == 0
+        assert done.stdout.startswith("usage: aisemiring ")
+        done = python_m("check", "--semiring", "S7")
+        assert done.returncode == 2
+        assert "required: --identity" in done.stderr
 
 
 class TestDelta:

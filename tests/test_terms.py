@@ -31,6 +31,15 @@ def words(alphabet=VARS, max_len=4):
     return st.lists(st.sampled_from(alphabet), min_size=1, max_size=max_len).map(tuple)
 
 
+def format_word_by_runs(w) -> str:
+    """Reference for format_word: every maximal letter run through groupby."""
+    parts = []
+    for letter, run in itertools.groupby(w):
+        k = len(list(run))
+        parts.append(letter if k == 1 else f"{letter}^{k}")
+    return "*".join(parts)
+
+
 def terms(alphabet=VARS, commutative=None, max_words=4, max_word_len=4):
     mode = st.booleans() if commutative is None else st.just(commutative)
     return st.builds(
@@ -80,6 +89,14 @@ class TestTermBasics:
     def test_str_compresses_runs(self):
         assert format_word(("x", "x", "y")) == "x^2*y"
         assert str(Term([("x", "x"), ("y",)])) == "y + x^2"
+
+    @given(
+        words(("x", "y", "z1", "ab"), max_len=6)
+        | st.lists(st.sampled_from(("x", "y", "z1", "ab", "w")), min_size=1, unique=True).map(tuple)
+    )
+    def test_format_word_matches_run_reference(self, w):
+        # linear words take the no-repeat shortcut, the rest the run loop
+        assert format_word(w) == format_word_by_runs(w)
 
     def test_identity_modes_must_match(self):
         with pytest.raises(ValueError):
