@@ -43,6 +43,14 @@ class FiniteSemiring:
         return top
 
     @functools.cached_property
+    def add_with_empty(self) -> tuple[tuple[int, ...], ...]:
+        """The addition table with one more index, size, for the empty sum:
+        its row and column give the other operand back, so a running sum
+        can start from it."""
+        n = self.size
+        return tuple(row + (e,) for e, row in enumerate(self.add)) + (tuple(range(n + 1)),)
+
+    @functools.cached_property
     def mul_commutes(self) -> bool:
         return self.mul == tuple(zip(*self.mul))
 

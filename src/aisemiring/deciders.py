@@ -190,8 +190,10 @@ def _search_order(words: list[tuple[str, ...]], commutative: bool) -> list[str]:
 def _first_difference(closing, left: int, right: int, d: int, values: range, mem, add, mul):
     """The first of the values of variable d, the last one, where the
     sides differ, with the values of the sides there, or None when they
-    agree at every value. left and right are the running sums handed down;
-    closing holds the entries of the words closing at d (see _Search)."""
+    agree at every value. left and right are the running sums handed down,
+    add the addition table with the empty sum (see _Search); closing holds
+    the entries of the words closing at d, each joining the lhs sum
+    (target -1), the rhs sum (-2) or both (-3)."""
     base_lhs, base_rhs = left, right
     for e in values:
         mem[d] = e
@@ -201,9 +203,11 @@ def _first_difference(closing, left: int, right: int, d: int, values: range, mem
             for t in rest:
                 v = mul[v][mem[t]]
             if target == -1:
-                left = v if left < 0 else add[left][v]
+                left = add[left][v]
+            elif target == -2:
+                right = add[right][v]
             else:
-                right = v if right < 0 else add[right][v]
+                left, right = add[left][v], add[right][v]
         if left != right:
             return e, left, right
     return None
@@ -249,41 +253,49 @@ class _Search:
     in a fixed order, each bounded to a range of values, and the counts of
     its work over all its runs.
 
-    The variables are coded by their depth in the order. Each word keeps
-    the products of the maximal runs of its assigned letters, updated at
-    its own variables only (see _word_plan); at its last variable that is
-    the word's value, and it joins its side's running sum. mem holds the
-    value of each variable, then the cells of the words. entries[d] holds
-    (target, first, rest) for each product made at depth d, of mem at the
-    indices first and rest: a run, stored in mem[target], or a whole word,
-    joining the running sum of the lhs (target -1) or of the rhs (-2). A
-    word with the last variable closes there, so entries at the last depth
-    are whole words only.
+    The variables are coded by their depth in the order. Each distinct
+    word keeps the products of the maximal runs of its assigned letters,
+    updated at its own variables only (see _word_plan); at its last
+    variable that is the word's value, and it joins the running sum of
+    each side it is on. A word on both sides, as every word of u in
+    u ≈ u+q, is planned and multiplied out once: its run products are the
+    same for either side, so a second copy would add nothing to the live
+    state. mem holds the value of each variable, then the cells of the
+    words. entries[d] holds (target, first, rest) for each product made
+    at depth d, of mem at the indices first and rest: a run, stored in
+    mem[target], or a whole word, joining the running sum of the lhs
+    (target -1), of the rhs (-2) or of both (-3). A word with the last
+    variable closes there, so entries at the last depth are whole words
+    only. A running sum over no word yet is the index n, one past the
+    elements, whose row in the addition table add (the semiring's
+    add_with_empty) gives each element back, so a word joins a sum by one
+    lookup whether or not it is the first.
     """
 
     def __init__(self, s: FiniteSemiring, ident: Identity, order: list[str]):
         k = len(order)
         index = dict(zip(order, range(k))).__getitem__
-        sides = (ident.lhs.words, ident.rhs.words)
-        if ident.commutative:
-            # a word's letters are taken in search order, so its assigned
-            # letters always form one run
-            words = [[tuple(sorted(map(index, w))) for w in side] for side in sides]
-        else:
-            words = [[tuple(map(index, w)) for w in side] for side in sides]
+        # each coded word with the sides it is on: -1 lhs, -2 rhs, -3 both;
+        # the words of one side are distinct
+        targets: dict[tuple[int, ...], int] = {}
+        for target, side in ((-1, ident.lhs.words), (-2, ident.rhs.words)):
+            for w in side:
+                # in commutative mode a word's letters are taken in search
+                # order, so its assigned letters always form one run
+                coded = tuple(sorted(map(index, w))) if ident.commutative else tuple(map(index, w))
+                targets[coded] = targets.get(coded, 0) + target
         mem = [0] * k
         entries: list[list] = [[] for _ in order]
         word_steps = []
-        for side, coded in enumerate(words):
-            for w in coded:
-                size, steps, last, first, rest = _word_plan(w, len(mem))
-                mem += [-1] * size
-                for d, made, _, _ in steps:
-                    entries[d] += made
-                entries[last].append((-1 - side, first, rest))
-                word_steps.append(steps)
+        for w, target in targets.items():
+            size, steps, last, first, rest = _word_plan(w, len(mem))
+            mem += [-1] * size
+            for d, made, _, _ in steps:
+                entries[d] += made
+            entries[last].append((target, first, rest))
+            word_steps.append(steps)
         n = s.size
-        self.s, self.k, self.top = s, k, s.additive_top
+        self.s, self.k, self.top, self.add = s, k, s.additive_top, s.add_with_empty
         self.word_steps, self.mem, self.entries = word_steps, mem, entries
         self.held = None  # per depth, the getter of the live run products, on first need
         self.lo, self.hi = [0] * k, [n - 1] * k
@@ -310,8 +322,11 @@ class _Search:
     def first_leaf(self):
         """The first falsifying leaf within the bounds: the tuple of the
         values and the values of the two sides there; None if every leaf
-        within the bounds satisfies the identity. Two kinds of subtree are
-        skipped:
+        within the bounds satisfies the identity. At each depth the
+        entries store run products and fold each closing word into the lhs
+        sum, the rhs sum or both (targets -1, -2, -3); both sums start at
+        the empty sum, index n, whose row in the addition table gives each
+        element back. Two kinds of subtree are skipped:
         - where both running sums have reached the additive top, the sum
           of all elements: the top absorbs every element, so both sides
           evaluate to it at every leaf below;
@@ -331,15 +346,16 @@ class _Search:
         mem, entries, top, cleared = self.mem, self.entries, self.top, self.cleared
         since_bound = self.since_bound
         lo, hi = self.lo, self.hi
-        add, mul = self.s.add, self.s.mul
+        add, mul = self.add, self.s.mul
         nodes, memo_hits, top_pruned = self.nodes, self.memo_hits, self.top_pruned
         budget = ORACLE_NODE_BUDGET
         k = self.k
         last = k - 1
         mem[:k] = lo
-        # sums[d]: a side's running sum over the words ending above depth d
-        lhs_sums = [-1] * k
-        rhs_sums = [-1] * k
+        # sums[d]: a side's running sum over the words ending above depth d,
+        # from the empty sum
+        lhs_sums = [self.s.size] * k
+        rhs_sums = [self.s.size] * k
         d = 0
         while True:
             if d < last:
@@ -354,9 +370,11 @@ class _Search:
                     if target >= 0:
                         mem[target] = v
                     elif target == -1:
-                        left = v if left < 0 else add[left][v]
+                        left = add[left][v]
+                    elif target == -2:
+                        right = add[right][v]
                     else:
-                        right = v if right < 0 else add[right][v]
+                        left, right = add[left][v], add[right][v]
                 if left == top and right == top:
                     top_pruned += 1
                 elif d in cleared and _state(self.held[d], mem, left, right) in cleared[d]:
@@ -538,7 +556,8 @@ def holds_s0_lift(base_decider: Callable[[Identity], Verdict], ident: Identity) 
                 ),
                 details={"component": label, "clause": "empty-cover"},
             )
-        reduced = Term(cover, base.commutative)
+        # all of base keeps base itself, with what it already worked out
+        reduced = base if len(cover) == len(base) else Term(cover, base.commutative)
         sub = base_decider(Identity(reduced, reduced.add_word(q)))
         if not sub.holds:
             label = _component_label(base, q)
@@ -647,7 +666,13 @@ def cross_validate(
     """Generate seeded random identities and compare decider vs oracle.
 
     Any disagreement is recorded with the full identity; none is expected.
+    samples below 0 or a bound below 1 raises ValueError.
     """
+    if samples < 0:
+        raise ValueError(f"samples must be at least 0, got {samples}")
+    for name, value in (("max_vars", max_vars), ("max_words", max_words), ("max_word_len", max_word_len)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     rng = random.Random(seed)
     report = CrossValReport(
         semiring=label or repr(s),

@@ -48,8 +48,9 @@ def format_word(w: Word) -> str:
 class Term:
     """A nonempty finite set of nonempty words, with a fixed commutativity mode."""
 
-    # _word_set is filled on first use, so terms that never need it skip it
-    __slots__ = ("words", "commutative", "_hash", "_word_set")
+    # _word_set and _delta_sets are filled on first use, so terms that
+    # never need them skip them
+    __slots__ = ("words", "commutative", "_hash", "_word_set", "_delta_sets")
 
     def __init__(self, words: Iterable[Word], commutative: bool = False):
         normalized = set()
@@ -165,7 +166,20 @@ def is_linear(w: Word) -> bool:
 def delta_sets(u: Term) -> frozenset[frozenset[str]]:
     """Variable sets meeting every word of u in exactly one once-occurring letter.
 
-    Such a set Z is an exact cover of the words of u by letters, a letter
+    The family is kept on u, so each term is searched once (_exact_covers).
+    """
+    try:
+        return u._delta_sets
+    except AttributeError:
+        family = _exact_covers(u)
+        object.__setattr__(u, "_delta_sets", family)
+        return family
+
+
+def _exact_covers(u: Term) -> frozenset[frozenset[str]]:
+    """The delta family of u, by search.
+
+    A member Z is an exact cover of the words of u by letters, a letter
     covering the words it occurs in; a letter occurring twice in some word
     is in no Z. An iterative Algorithm X (Knuth, "Dancing Links") branches
     on the open word with the fewest letters left. Choosing a letter covers

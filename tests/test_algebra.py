@@ -98,6 +98,16 @@ class TestBuiltins:
         assert all(s.add[s.additive_top][e] == s.additive_top for e in range(s.size))
         assert s.mul_commutes
 
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_add_with_empty(self, name):
+        # index size is the empty sum: it gives the other operand back
+        s = builtin(name)
+        n = s.size
+        table = s.add_with_empty
+        assert [row[:n] for row in table[:n]] == list(s.add)
+        assert [table[n][e] for e in range(n + 1)] == list(range(n + 1))
+        assert [table[e][n] for e in range(n + 1)] == list(range(n + 1))
+
 
 class TestValidation:
     def test_valid_tables_round(self):

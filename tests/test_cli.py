@@ -752,3 +752,16 @@ class TestCrossval:
         )
         assert code == 2
         assert "builtin" in err
+
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--samples", "-3", "samples must be at least 0, got -3"),
+            ("--max-vars", "0", "max_vars must be at least 1, got 0"),
+            ("--max-words", "0", "max_words must be at least 1, got 0"),
+            ("--max-len", "0", "max_word_len must be at least 1, got 0"),
+        ],
+    )
+    def test_bad_bound_exits_two(self, capsys, flag, value, message):
+        code, out, err = run(capsys, "crossval", "--semiring", "S7_0", flag, value)
+        assert (code, out, err) == (2, "", f"error: {message}\n")

@@ -4,7 +4,7 @@ from functools import cache, partial
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from aisemiring import (
@@ -28,7 +28,7 @@ from aisemiring import (
     random_identity,
     validate_ai_semiring,
 )
-from aisemiring.deciders import _search_order, _word_plan
+from aisemiring.deciders import _Search, _search_order, _word_plan
 from aisemiring.terms import fold_words
 
 S7 = builtin("S7")
@@ -39,6 +39,27 @@ SQUARE_ABSORPTION = parse_identity("x^2 + y == x^2*y^2")
 SQUARE_PADDING = parse_identity("x^2 + y == x^2 + y + y^2")
 # the 7-cycle x1*x2 + x2*x3 + ... + x7*x1
 CYCLE_7 = " + ".join(f"x{i}*x{i % 7 + 1}" for i in range(1, 8))
+# the 5-cycle plus x6*x2 on both sides, q = x1*...*x5 on the rhs
+CYCLE_5 = " + ".join(f"x{i}*x{i % 5 + 1}" for i in range(1, 6))
+SHARED_LHS, SHARED_RHS = f"{CYCLE_5} + x6*x2", f"{CYCLE_5} + x1*x2*x3*x4*x5 + x6*x2"
+
+
+def _product(s, t):
+    pairs = [(a, b) for a in range(s.size) for b in range(t.size)]
+
+    def table(op_s, op_t):
+        return [[pairs.index((op_s[a][c], op_t[b][d])) for c, d in pairs] for a, b in pairs]
+
+    out = validate_ai_semiring(
+        [f"{s.elements[a]}.{t.elements[b]}" for a, b in pairs],
+        table(s.add, t.add),
+        table(s.mul, t.mul),
+    )
+    assert isinstance(out, FiniteSemiring), out
+    return out
+
+
+D2_S7 = _product(D2, S7)
 
 
 class TestSeparatingIdentities:
@@ -117,24 +138,43 @@ class TestBruteForce:
         assert witness.stats["memo_hits"] > 0 and witness.stats["top_pruned"] > 0
 
     @pytest.mark.parametrize(
-        "ident,witness,stats",
+        "s,ident,witness,stats",
         [
-            (make_witness(5).identity, None, (1776, 322, 555)),
-            (make_witness(12).identity, None, (4632, 1204, 1815)),
-            (parse_identity(f"{CYCLE_7} == {CYCLE_7} + x3*x1*x4*x7*x2*x6*x5"), None, (1668, 68, 296)),
+            (S7_0, make_witness(5).identity, None, (1776, 322, 555)),
+            (S7_0, make_witness(12).identity, None, (4632, 1204, 1815)),
+            (S7_0, parse_identity(f"{CYCLE_7} == {CYCLE_7} + x3*x1*x4*x7*x2*x6*x5"), None, (1668, 68, 296)),
             (
+                S7_0,
                 parse_identity(f"{CYCLE_7} + x2*x5*x2 == {CYCLE_7} + x5*x2*x5 + x3*x1*x4*x7*x2*x6*x5"),
                 {"x1": "1", "x2": "a", "x3": "1", "x4": "a", "x5": "1", "x6": "a", "x7": "∞"},
                 (471, 9, 73),
             ),
+            (S7_0, parse_identity(f"{SHARED_LHS} == {SHARED_RHS}"), None, (880, 15, 182)),
+            (D2_S7, parse_identity(f"{SHARED_LHS} == {SHARED_RHS}"), None, (2748, 155, 228)),
+            (
+                S7_0,
+                parse_identity(f"{SHARED_LHS} + a0 == {SHARED_RHS} + a0*a0"),
+                {"a0": "a", "x1": "1", "x2": "a", "x3": "1", "x4": "a", "x5": "∞", "x6": "1"},
+                (573, 49, 191),
+            ),
+            (
+                D2_S7,
+                parse_identity(f"{SHARED_LHS} + a0*x1 == {SHARED_RHS} + a0*x1 + a0"),
+                {"a0": "1.1", "x1": "0.1", "x2": "0.1", "x3": "0.1", "x4": "0.1", "x5": "0.1", "x6": "0.1"},
+                (4711, 1182, 1347),
+            ),
         ],
-        ids=["witness-5", "witness-12", "cycle-holds", "cycle-fails"],
+        ids=[
+            "witness-5", "witness-12", "cycle-holds", "cycle-fails",
+            "shared-holds", "shared-holds-product", "shared-fails", "shared-fails-product",
+        ],
     )
-    def test_stats_pinned(self, ident, witness, stats):
+    def test_stats_pinned(self, s, ident, witness, stats):
         # the counts pin the search itself, not only its answer; the
         # non-commutative cycles have cells that merge runs, which the
-        # commutative witnesses have not
-        v = holds_bruteforce(S7_0, ident)
+        # commutative witnesses have not; in the shared cases most words
+        # sit on both sides, as in u + K ≈ u + q + K
+        v = holds_bruteforce(s, ident)
         assert (v.holds, v.witness) == (witness is None, witness)
         assert v.stats == dict(zip(("nodes", "memo_hits", "top_pruned"), stats))
 
@@ -226,21 +266,6 @@ def _reference_scan(s, ident):
     return Verdict(True)
 
 
-def _product(s, t):
-    pairs = [(a, b) for a in range(s.size) for b in range(t.size)]
-
-    def table(op_s, op_t):
-        return [[pairs.index((op_s[a][c], op_t[b][d])) for c, d in pairs] for a, b in pairs]
-
-    out = validate_ai_semiring(
-        [f"{s.elements[a]}.{t.elements[b]}" for a, b in pairs],
-        table(s.add, t.add),
-        table(s.mul, t.mul),
-    )
-    assert isinstance(out, FiniteSemiring), out
-    return out
-
-
 @cache
 def _random_tables() -> tuple[FiniteSemiring, ...]:
     """Seeded random 2- and 3-element tables that validate_ai_semiring
@@ -271,7 +296,7 @@ def _random_tables() -> tuple[FiniteSemiring, ...]:
 
 def _oracle_algebras() -> list[FiniteSemiring]:
     named = [builtin(name) for name in ("S7", "S7_0", "D2", "trivial")]
-    return named + [_product(D2, S7)] + list(_random_tables())
+    return named + [D2_S7] + list(_random_tables())
 
 
 @st.composite
@@ -309,6 +334,24 @@ def _wide_identities(draw):
     if draw(st.booleans()):
         sides.reverse()
     return s, Identity(Term(sides[0], commutative), Term(sides[1], commutative))
+
+
+@st.composite
+def _shared_word_identities(draw):
+    """u + K ≈ u + q + K over any of the oracle's tables, so that most
+    words sit on both sides: shared words, one or two words on one side
+    only and at most one on the other, the sides in either order."""
+    s = draw(st.sampled_from(_oracle_algebras()))
+    commutative = s.mul_commutes and draw(st.booleans())
+    names = [f"x{i}" for i in range(draw(st.integers(2, 5 if s.size <= 4 else 4)))]
+    word = st.lists(st.sampled_from(names), min_size=1, max_size=4).map(tuple)
+    shared = draw(st.lists(word, min_size=1, max_size=5))
+    sides = [shared + draw(st.lists(word, max_size=1)), shared + draw(st.lists(word, min_size=1, max_size=2))]
+    if draw(st.booleans()):
+        sides.reverse()
+    ident = Identity(Term(sides[0], commutative), Term(sides[1], commutative))
+    assume(not ident.is_trivial())
+    return s, ident
 
 
 def _both_orders(s, ident):
@@ -411,6 +454,28 @@ class TestDepthFirstOracle:
         v = holds_bruteforce(s, parse_identity("x*y == y*x"))
         assert not v.holds
         assert v.witness == {"x": "p", "y": "q"}
+
+
+class TestSharedWords:
+    """A word on both sides is planned and evaluated once, and its value
+    joins both running sums; the search and its answers stay as they were."""
+
+    @pytest.mark.parametrize("n", [1, 4, 12])
+    def test_shared_words_are_planned_once(self, n):
+        # u's 2n+1 words close into both sums, q into the rhs sum only
+        ident = make_witness(n).identity
+        order = _search_order([*ident.lhs.words, *ident.rhs.words], True)
+        search = _Search(S7_0, ident, order)
+        closing = sorted(target for entries in search.entries for target, _, _ in entries if target < 0)
+        assert closing == [-3] * (2 * n + 1) + [-2]
+
+    @settings(max_examples=200, deadline=None)
+    @given(_shared_word_identities())
+    def test_shared_words_match_full_scan(self, case):
+        s, ident = case
+        old = _reference_scan(s, ident)
+        for new in _both_orders(s, ident):
+            assert (new.holds, new.witness, new.reason) == (old.holds, old.witness, old.reason)
 
 
 class TestLift:

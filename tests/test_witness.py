@@ -15,6 +15,7 @@ from aisemiring import (
     make_witness,
     parse_identity,
     parse_term,
+    terms,
 )
 from aisemiring.terms import format_word
 
@@ -102,6 +103,24 @@ class TestWitnessFacts:
             "syntactic",
             "oracle",
         }
+
+    def test_delta_family_searched_once_per_term(self, monkeypatch):
+        # u for the delta-empty fact and again as the S7_0 component's
+        # cover, then u+q: two searches, not three
+        searched = []
+        search = terms._exact_covers
+        monkeypatch.setattr(terms, "_exact_covers", lambda u: searched.append(u) or search(u))
+        pair = make_witness(12)
+        report = check_witness_facts(pair)
+        assert searched == [pair.u, pair.identity.rhs]
+        q = "*".join(f"x{i}" for i in range(1, 26))
+        assert [(c.name, c.passed, c.note) for c in report.checks] == [
+            ("contents-equal", True, f"c(u) and c({q}) both have 25 variables"),
+            ("delta-empty", True, "delta family has 0 members"),
+            ("odd-cycle", True, "odd cycle of length 25, expected 25"),
+            ("syntactic", True, "criterion satisfied"),
+            ("oracle", None, "4^25 assignments exceed the limit 100000"),
+        ]
 
 
 class TestAxiomConditions:
