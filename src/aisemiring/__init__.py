@@ -60,10 +60,8 @@ from .terms import (
     Word,
     components,
     content,
-    decompose,
     delta_sets,
     evaluate,
-    filter_content_avoiding,
     filter_content_subset,
     format_word,
     is_linear,

@@ -11,23 +11,40 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from dataclasses import dataclass
 
 from .errors import SizeLimitError
+from .records import Record, set_field
 
 ISO_CARRIER_CAP = 8
 
 
-@dataclass(frozen=True)
-class FiniteSemiring:
+class FiniteSemiring(Record):
     """A finite semiring given by its element names and operation tables."""
 
-    elements: tuple[str, ...]
-    add: tuple[tuple[int, ...], ...]
-    mul: tuple[tuple[int, ...], ...]
+    # the __dict__ holds the cached properties
+    __slots__ = ("elements", "add", "mul", "__dict__")
 
-    def __post_init__(self):
-        _check_shape(self.elements, self.add, self.mul)
+    def __init__(
+        self,
+        elements: tuple[str, ...],
+        add: tuple[tuple[int, ...], ...],
+        mul: tuple[tuple[int, ...], ...],
+    ):
+        n = len(elements)
+        if n == 0:
+            raise ValueError("carrier must be nonempty")
+        if len(set(elements)) != n:
+            raise ValueError("element names must be distinct")
+        for label, table in (("add", add), ("mul", mul)):
+            if len(table) != n or any(len(row) != n for row in table):
+                raise ValueError(f"{label} table is not {n}x{n}")
+            for row in table:
+                for cell in row:
+                    if not isinstance(cell, int) or not 0 <= cell < n:
+                        raise ValueError(f"{label} table cell {cell!r} is not a valid index")
+        set_field(self, "elements", elements)
+        set_field(self, "add", add)
+        set_field(self, "mul", mul)
 
     @property
     def size(self) -> int:
@@ -70,22 +87,26 @@ class FiniteSemiring:
         return f"FiniteSemiring({list(self.elements)!r})"
 
 
-@dataclass(frozen=True)
-class AxiomViolation:
+class AxiomViolation(Record):
     """First violated ai-semiring axiom, with a witnessing element tuple."""
 
-    law: str
-    witness: tuple[str, ...]
+    __slots__ = ("law", "witness")
+
+    def __init__(self, law: str, witness: tuple[str, ...]):
+        set_field(self, "law", law)
+        set_field(self, "witness", witness)
 
     def __str__(self):
         return f"{self.law} fails at ({', '.join(self.witness)})"
 
 
-@dataclass(frozen=True)
-class Congruence:
+class Congruence(Record):
     """A partition of the carrier compatible with both operations."""
 
-    partition: tuple[tuple[int, ...], ...]
+    __slots__ = ("partition",)
+
+    def __init__(self, partition: tuple[tuple[int, ...], ...]):
+        set_field(self, "partition", partition)
 
     def block_of(self, i: int) -> int:
         for b, block in enumerate(self.partition):
@@ -94,12 +115,14 @@ class Congruence:
         raise ValueError(f"index {i} not covered by partition")
 
 
-@dataclass(frozen=True)
-class CongruenceViolation:
+class CongruenceViolation(Record):
     """Compatibility counterexample: a ~ a' and b ~ b' but op(a,b) !~ op(a',b')."""
 
-    operation: str
-    witness: tuple[str, str, str, str]
+    __slots__ = ("operation", "witness")
+
+    def __init__(self, operation: str, witness: tuple[str, str, str, str]):
+        set_field(self, "operation", operation)
+        set_field(self, "witness", witness)
 
     def __str__(self):
         a, a2, b, b2 = self.witness
@@ -107,21 +130,6 @@ class CongruenceViolation:
             f"{self.operation} incompatible: {a}~{a2} and {b}~{b2} "
             f"but results land in different blocks"
         )
-
-
-def _check_shape(elements, add, mul):
-    n = len(elements)
-    if n == 0:
-        raise ValueError("carrier must be nonempty")
-    if len(set(elements)) != n:
-        raise ValueError("element names must be distinct")
-    for label, table in (("add", add), ("mul", mul)):
-        if len(table) != n or any(len(row) != n for row in table):
-            raise ValueError(f"{label} table is not {n}x{n}")
-        for row in table:
-            for cell in row:
-                if not isinstance(cell, int) or not 0 <= cell < n:
-                    raise ValueError(f"{label} table cell {cell!r} is not a valid index")
 
 
 def validate_ai_semiring(elements, add, mul) -> FiniteSemiring | AxiomViolation:

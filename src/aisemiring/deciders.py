@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import count
@@ -20,6 +19,7 @@ from typing import Callable
 
 from .algebra import FiniteSemiring
 from .errors import SizeLimitError
+from .records import Record, set_field
 from .terms import (
     Identity,
     Term,
@@ -37,16 +37,25 @@ ORACLE_NODE_BUDGET = 1_000_000
 NAME_ORDER_LEAVES = 4096
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """Outcome of a decider, with a falsifying assignment or failure reason,
     and optional counters of the work done."""
 
-    holds: bool
-    witness: dict[str, str] | None = None
-    reason: str | None = None
-    details: dict | None = None
-    stats: dict | None = None
+    __slots__ = ("holds", "witness", "reason", "details", "stats")
+
+    def __init__(
+        self,
+        holds: bool,
+        witness: dict[str, str] | None = None,
+        reason: str | None = None,
+        details: dict | None = None,
+        stats: dict | None = None,
+    ):
+        set_field(self, "holds", holds)
+        set_field(self, "witness", witness)
+        set_field(self, "reason", reason)
+        set_field(self, "details", details)
+        set_field(self, "stats", stats)
 
     def to_dict(self) -> dict:
         out: dict = {"holds": self.holds}
@@ -628,15 +637,28 @@ def random_identity(
     return Identity(side(), side())
 
 
-@dataclass
-class CrossValReport:
-    """Agreement report between a syntactic decider and the oracle."""
+class CrossValReport(Record):
+    """Agreement report between a syntactic decider and the oracle. Unlike
+    the other records it is filled in as it runs: mutable and unhashable."""
 
-    semiring: str
-    samples: int
-    seed: int
-    bounds: dict
-    disagreements: list[dict] = field(default_factory=list)
+    __slots__ = ("semiring", "samples", "seed", "bounds", "disagreements")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        semiring: str,
+        samples: int,
+        seed: int,
+        bounds: dict,
+        disagreements: list[dict] | None = None,
+    ):
+        self.semiring = semiring
+        self.samples = samples
+        self.seed = seed
+        self.bounds = bounds
+        self.disagreements = [] if disagreements is None else disagreements
 
     @property
     def ok(self) -> bool:

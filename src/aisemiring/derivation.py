@@ -12,10 +12,10 @@ from __future__ import annotations
 import itertools
 import json
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .parsing import parse_identity, parse_term
+from .records import Record, set_field
 from .terms import Identity, Term, Word, content, substitute, word_key
 
 FORWARD = "forward"
@@ -59,30 +59,40 @@ class AxiomSet:
         return len(self._items)
 
 
-@dataclass(frozen=True)
-class DerivationStep:
+class DerivationStep(Record):
     """One rewrite: the cited axiom side, substituted by phi, wrapped in
     the optional contexts, plus the optional remainder, must equal the
     current term; the result swaps in the other side."""
 
-    axiom_name: str
-    direction: str
-    phi: Mapping[str, Term]
-    left_context: Term | None = None
-    right_context: Term | None = None
-    remainder: Term | None = None
+    __slots__ = ("axiom_name", "direction", "phi", "left_context", "right_context", "remainder")
 
-    def __post_init__(self):
-        if self.direction not in (FORWARD, BACKWARD):
+    def __init__(
+        self,
+        axiom_name: str,
+        direction: str,
+        phi: Mapping[str, Term],
+        left_context: Term | None = None,
+        right_context: Term | None = None,
+        remainder: Term | None = None,
+    ):
+        if direction not in (FORWARD, BACKWARD):
             raise ValueError(f"direction must be {FORWARD} or {BACKWARD}")
+        set_field(self, "axiom_name", axiom_name)
+        set_field(self, "direction", direction)
+        set_field(self, "phi", phi)
+        set_field(self, "left_context", left_context)
+        set_field(self, "right_context", right_context)
+        set_field(self, "remainder", remainder)
 
 
-@dataclass(frozen=True)
-class StepMismatch:
+class StepMismatch(Record):
     """The step's reconstructed source did not match the current term."""
 
-    expected: Term
-    found: Term
+    __slots__ = ("expected", "found")
+
+    def __init__(self, expected: Term, found: Term):
+        set_field(self, "expected", expected)
+        set_field(self, "found", found)
 
     def __str__(self):
         return f"step source is {self.expected}, term is {self.found}"
@@ -133,20 +143,24 @@ def apply_step(t: Term, step: DerivationStep, sigma: AxiomSet) -> Term | StepMis
     return result
 
 
-@dataclass(frozen=True)
-class DerivationChain:
-    start: Term
-    steps: tuple[DerivationStep, ...]
-    end: Term
+class DerivationChain(Record):
+    __slots__ = ("start", "steps", "end")
+
+    def __init__(self, start: Term, steps: tuple[DerivationStep, ...], end: Term):
+        set_field(self, "start", start)
+        set_field(self, "steps", steps)
+        set_field(self, "end", end)
 
 
-@dataclass(frozen=True)
-class ChainVerdict:
+class ChainVerdict(Record):
     """failing_index counts steps; len(steps) marks the final comparison."""
 
-    ok: bool
-    failing_index: int | None = None
-    reason: str | None = None
+    __slots__ = ("ok", "failing_index", "reason")
+
+    def __init__(self, ok: bool, failing_index: int | None = None, reason: str | None = None):
+        set_field(self, "ok", ok)
+        set_field(self, "failing_index", failing_index)
+        set_field(self, "reason", reason)
 
 
 def verify_chain(chain: DerivationChain, sigma: AxiomSet) -> ChainVerdict:
@@ -166,21 +180,31 @@ def verify_chain(chain: DerivationChain, sigma: AxiomSet) -> ChainVerdict:
     return ChainVerdict(True)
 
 
-@dataclass(frozen=True)
-class SearchBounds:
+class SearchBounds(Record):
     """max_depth may be 0 (no step is taken); every other bound is at least 1."""
 
-    max_depth: int = 4
-    max_words: int = 8
-    max_word_len: int = 8
-    max_image_words: int = 1
+    __slots__ = ("max_depth", "max_words", "max_word_len", "max_image_words")
 
-    def __post_init__(self):
-        if self.max_depth < 0:
-            raise ValueError(f"max_depth must be at least 0, got {self.max_depth}")
-        for name in ("max_words", "max_word_len", "max_image_words"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+    def __init__(
+        self,
+        max_depth: int = 4,
+        max_words: int = 8,
+        max_word_len: int = 8,
+        max_image_words: int = 1,
+    ):
+        if max_depth < 0:
+            raise ValueError(f"max_depth must be at least 0, got {max_depth}")
+        for name, value in (
+            ("max_words", max_words),
+            ("max_word_len", max_word_len),
+            ("max_image_words", max_image_words),
+        ):
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
+        set_field(self, "max_depth", max_depth)
+        set_field(self, "max_words", max_words)
+        set_field(self, "max_word_len", max_word_len)
+        set_field(self, "max_image_words", max_image_words)
 
 
 # The guards that can cut a search, in the order outcomes report them.
@@ -194,8 +218,7 @@ GUARDS = (
 )
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(Record):
     """status is "found", "absent-exhausted" (candidate space fully
     explored) or "absent-truncated" (some bound cut the enumeration).
 
@@ -207,12 +230,23 @@ class SearchOutcome:
     (substitution, context pair) matches found inside explored terms.
     """
 
-    status: str
-    chain: DerivationChain | None
-    explored: int
-    bounds: SearchBounds
-    truncated_by: Mapping[str, int] = field(default_factory=dict)
-    matched: int = 0
+    __slots__ = ("status", "chain", "explored", "bounds", "truncated_by", "matched")
+
+    def __init__(
+        self,
+        status: str,
+        chain: DerivationChain | None,
+        explored: int,
+        bounds: SearchBounds,
+        truncated_by: Mapping[str, int] | None = None,
+        matched: int = 0,
+    ):
+        set_field(self, "status", status)
+        set_field(self, "chain", chain)
+        set_field(self, "explored", explored)
+        set_field(self, "bounds", bounds)
+        set_field(self, "truncated_by", {} if truncated_by is None else truncated_by)
+        set_field(self, "matched", matched)
 
     @property
     def found(self) -> bool:

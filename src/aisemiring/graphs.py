@@ -9,23 +9,27 @@ bipartite.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
+from .records import Record, set_field
 from .terms import Term
 
 
-@dataclass(frozen=True)
-class TermGraph:
-    vertices: frozenset[str]
-    edges: frozenset[frozenset[str]]
+class TermGraph(Record):
+    __slots__ = ("vertices", "edges")
+
+    def __init__(self, vertices: frozenset[str], edges: frozenset[frozenset[str]]):
+        set_field(self, "vertices", vertices)
+        set_field(self, "edges", edges)
 
 
-@dataclass(frozen=True)
-class OddCycleSearch:
+class OddCycleSearch(Record):
     """Outcome of the 2-coloring: exactly one of cycle / coloring is set."""
 
-    cycle: list[str] | None
-    coloring: dict[str, int] | None
+    __slots__ = ("cycle", "coloring")
+
+    def __init__(self, cycle: list[str] | None, coloring: dict[str, int] | None):
+        set_field(self, "cycle", cycle)
+        set_field(self, "coloring", coloring)
 
     @property
     def bipartite(self) -> bool:

@@ -19,7 +19,6 @@ line and column from the offset of the token it names.
 from __future__ import annotations
 
 import re
-from string import ascii_letters
 
 from .terms import Identity, Term, Word
 
@@ -38,7 +37,7 @@ class ParseError(ValueError):
 # text.rstrip(), so every whitespace run is followed by a token and \s*
 # never backtracks.
 _TOKEN_RE = re.compile(r"\s*([A-Za-z][A-Za-z0-9_]*|\d+|==|[≈+*^]|\S)")
-_LETTERS = frozenset(ascii_letters)
+_LETTERS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 _SYMBOLS = frozenset(("==", "≈", "+", "*", "^", ""))  # "" ends the tokens
 
 

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .algebra import FiniteSemiring
 from .errors import SizeLimitError
+from .records import Record, set_field
 
 Word = tuple[str, ...]
 
@@ -45,11 +45,11 @@ def format_word(w: Word) -> str:
     return "*".join(parts)
 
 
-class Term:
+class Term(Record):
     """A nonempty finite set of nonempty words, with a fixed commutativity mode."""
 
-    # _word_set and _delta_sets are filled on first use, so terms that
-    # never need them skip them
+    # the fields are words and commutative; _word_set and _delta_sets are
+    # filled on first use, so terms that never need them skip them
     __slots__ = ("words", "commutative", "_hash", "_word_set", "_delta_sets")
 
     def __init__(self, words: Iterable[Word], commutative: bool = False):
@@ -63,12 +63,9 @@ class Term:
             normalized.add(w)
         if not normalized:
             raise ValueError("a term must contain at least one word")
-        object.__setattr__(self, "words", tuple(sorted(normalized, key=word_key)))
-        object.__setattr__(self, "commutative", commutative)
-        object.__setattr__(self, "_hash", hash((self.words, commutative)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Term is immutable")
+        set_field(self, "words", tuple(sorted(normalized, key=word_key)))
+        set_field(self, "commutative", commutative)
+        set_field(self, "_hash", hash((self.words, commutative)))
 
     @classmethod
     def single(cls, w: Word, commutative: bool = False) -> "Term":
@@ -79,7 +76,7 @@ class Term:
             return self._word_set
         except AttributeError:
             ws = frozenset(self.words)
-            object.__setattr__(self, "_word_set", ws)
+            set_field(self, "_word_set", ws)
             return ws
 
     def __eq__(self, other):
@@ -128,16 +125,16 @@ class Term:
         return f"Term({str(self)!r}{mode})"
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(Record):
     """A pair of terms read as lhs ≈ rhs."""
 
-    lhs: Term
-    rhs: Term
+    __slots__ = ("lhs", "rhs")
 
-    def __post_init__(self):
-        if self.lhs.commutative != self.rhs.commutative:
+    def __init__(self, lhs: Term, rhs: Term):
+        if lhs.commutative != rhs.commutative:
             raise ValueError("both sides of an identity must share the commutativity mode")
+        set_field(self, "lhs", lhs)
+        set_field(self, "rhs", rhs)
 
     @property
     def commutative(self) -> bool:
@@ -172,7 +169,7 @@ def delta_sets(u: Term) -> frozenset[frozenset[str]]:
         return u._delta_sets
     except AttributeError:
         family = _exact_covers(u)
-        object.__setattr__(u, "_delta_sets", family)
+        set_field(u, "_delta_sets", family)
         return family
 
 
@@ -286,12 +283,6 @@ def filter_content_subset(u: Term, q: Word) -> frozenset[Word]:
     return frozenset(w for w in u.words if frozenset(w) <= cq)
 
 
-def filter_content_avoiding(u: Term, z: Iterable[str]) -> frozenset[Word]:
-    """Words of u whose content is disjoint from z (may be empty)."""
-    zset = frozenset(z)
-    return frozenset(w for w in u.words if not (frozenset(w) & zset))
-
-
 Substitution = Mapping[str, Term]
 
 
@@ -349,12 +340,3 @@ def components(ident: Identity) -> list[tuple[Term, Word]]:
     """
     u, v = ident.lhs, ident.rhs
     return [(u, w) for w in v.words] + [(v, w) for w in u.words]
-
-
-def decompose(ident: Identity) -> list[Identity]:
-    """Split u ≈ v into the simpler identities u ≈ u+v_j and v ≈ v+u_i.
-
-    Members where the added word already belongs to the base come out
-    trivial (equal sides) but are still returned.
-    """
-    return [Identity(base, base.add_word(q)) for base, q in components(ident)]

@@ -10,13 +10,13 @@ witness identities are designed to escape.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .algebra import builtin
 from .deciders import holds_bruteforce, holds_s7_0
 from .errors import SizeLimitError
 from .graphs import odd_cycle, term_graph
 from .parsing import MAX_WORD_LENGTH
+from .records import Record, set_field
 from .terms import (
     Identity,
     Term,
@@ -30,14 +30,16 @@ from .terms import (
 ORACLE_ASSIGNMENT_LIMIT = 100_000
 
 
-@dataclass(frozen=True)
-class WitnessPair:
+class WitnessPair(Record):
     """The pair (u, q): u sums the 2n+1 edge words of an odd cycle on
     x1..x(2n+1), q is the product of all 2n+1 variables."""
 
-    n: int
-    u: Term
-    q: Word
+    __slots__ = ("n", "u", "q")
+
+    def __init__(self, n: int, u: Term, q: Word):
+        set_field(self, "n", n)
+        set_field(self, "u", u)
+        set_field(self, "q", q)
 
     @property
     def identity(self) -> Identity:
@@ -60,17 +62,21 @@ def make_witness(n: int) -> WitnessPair:
     return WitnessPair(n=n, u=Term(words, commutative=True), q=tuple(xs))
 
 
-@dataclass(frozen=True)
-class FactCheck:
-    name: str
-    passed: bool | None  # None: the check was skipped
-    note: str = ""
+class FactCheck(Record):
+    __slots__ = ("name", "passed", "note")
+
+    def __init__(self, name: str, passed: bool | None, note: str = ""):
+        set_field(self, "name", name)
+        set_field(self, "passed", passed)  # None: the check was skipped
+        set_field(self, "note", note)
 
 
-@dataclass(frozen=True)
-class WitnessReport:
-    n: int
-    checks: tuple[FactCheck, ...]
+class WitnessReport(Record):
+    __slots__ = ("n", "checks")
+
+    def __init__(self, n: int, checks: tuple[FactCheck, ...]):
+        set_field(self, "n", n)
+        set_field(self, "checks", checks)
 
     @property
     def ok(self) -> bool:
@@ -159,23 +165,34 @@ def check_witness_facts(pair: WitnessPair, force_oracle: bool = False) -> Witnes
     return WitnessReport(n=n, checks=tuple(checks))
 
 
-@dataclass(frozen=True)
-class ConditionCheck:
-    name: str
-    passed: bool
-    witness: str = ""  # what violated the condition, when failed
+class ConditionCheck(Record):
+    __slots__ = ("name", "passed", "witness")
+
+    def __init__(self, name: str, passed: bool, witness: str = ""):
+        set_field(self, "name", name)
+        set_field(self, "passed", passed)
+        set_field(self, "witness", witness)  # what violated the condition, when failed
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(Record):
     """Conditions (a)-(d) on a candidate axiom A ≈ B, plus the delta
     family of A and the two deductions the conditions feed."""
 
-    conditions: tuple[ConditionCheck, ...]
-    delta: tuple[frozenset[str], ...]
-    every_variable_covered: bool
-    b_subset_a: bool
-    cycle: list[str] | None
+    __slots__ = ("conditions", "delta", "every_variable_covered", "b_subset_a", "cycle")
+
+    def __init__(
+        self,
+        conditions: tuple[ConditionCheck, ...],
+        delta: tuple[frozenset[str], ...],
+        every_variable_covered: bool,
+        b_subset_a: bool,
+        cycle: list[str] | None,
+    ):
+        set_field(self, "conditions", conditions)
+        set_field(self, "delta", delta)
+        set_field(self, "every_variable_covered", every_variable_covered)
+        set_field(self, "b_subset_a", b_subset_a)
+        set_field(self, "cycle", cycle)
 
     @property
     def ok(self) -> bool:
