@@ -47,7 +47,6 @@ from .derivation import (
     axioms_from_json,
     axioms_to_json,
     chain_from_json,
-    chain_to_json,
     search_derivation,
     verify_chain,
 )

@@ -4,7 +4,9 @@ remainder. Chains of steps are verified exactly. Search explores a
 bounded candidate space breadth first, taking each step from a match of
 a substituted axiom side against factorizations p·m·q of the current
 term's words; it reports absence as exhausted or truncated, and names
-the guards that truncated it.
+the guards that truncated it. The search works on words: substituted
+sides are built as words once per search and states are word sets, so
+Term and DerivationStep objects are built only for the returned chain.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 from .parsing import parse_identity, parse_term
 from .records import Record, set_field
-from .terms import Identity, Term, Word, content, substitute, word_key
+from .terms import Identity, Term, Word, content, image_words, substitute, word_key
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -284,17 +286,17 @@ def _memoized(source: Iterator) -> Callable[[], Iterator]:
 
 
 def _factor_index(
-    t: Term, pool_index: Mapping[Word, int]
+    words: Iterable[Word], commutative: bool, pool_index: Mapping[Word, int]
 ) -> dict[Word, set[tuple[int, int]]]:
-    """Each word m to the context pairs (i, j) with p_i·m·q_j a word of t.
+    """Each word m to the context pairs (i, j) with p_i·m·q_j one of words.
 
     Index 0 is the absent context, k the k-th pool word. In commutative
     mode p and q are sub-multisets of the word and m the sorted remainder.
     """
     index: dict[Word, set[tuple[int, int]]] = {}
-    if t.commutative:
+    if commutative:
         counts = [Counter()] + [Counter(w) for w in pool_index]
-        for v in t.words:
+        for v in words:
             cv = Counter(v)
             fits = [0] + [k for k in range(1, len(counts)) if counts[k] <= cv]
             for i in fits:
@@ -305,7 +307,7 @@ def _factor_index(
                         if m:
                             index.setdefault(tuple(sorted(m.elements())), set()).add((i, j))
         return index
-    for v in t.words:
+    for v in words:
         n = len(v)
         for a in range(n):
             i = pool_index.get(v[:a]) if a else 0
@@ -331,8 +333,10 @@ def search_derivation(
     explored term's words are indexed once by their factorizations p·m·q
     over the contexts, and a substituted axiom side with words w1…wk
     admits exactly the context pairs common to the index entries of
-    w1…wk, visited in context order. The substituted sides are built once
-    per search, on first use. Every returned chain re-verifies.
+    w1…wk, visited in context order. The substituted sides are built as
+    words once per search, on first use, and the states are word sets:
+    Term and DerivationStep objects are built only for the steps of the
+    returned chain, which re-verifies.
     """
     mode = goal.commutative
     if sigma.commutative != mode and len(sigma) > 0:
@@ -350,7 +354,8 @@ def search_derivation(
     pool_index = {w: k for k, w in enumerate(pool_words, 1)}
 
     images: list[Term] = [Term.single(w, mode) for w in pool_words]
-    for size in range(2, bounds.max_image_words + 1):
+    # no combination is larger than the pool
+    for size in range(2, min(bounds.max_image_words, len(pool_words)) + 1):
         for combo in itertools.combinations(pool_words, size):
             images.append(Term(combo, mode))
             if len(images) >= IMAGE_POOL_CAP:
@@ -360,8 +365,12 @@ def search_derivation(
             break
     # contexts: none, then the single-word images in pool order
     contexts: list[Term | None] = [None] + images[: len(pool_words)]
+    affixes: list[Word] = [()] + pool_words
 
-    def substitutions(src: Term, dst: Term) -> Iterator:
+    def substitutions(src: Term, dst: Term) -> Iterator[list]:
+        """[phi, the words of phi(src) as a Term holds them, None] per
+        substitution; neighbors puts the words of phi(dst) in the None
+        slot when phi first matches."""
         variables = sorted(content(src) | content(dst))
         assignments = itertools.product(images, repeat=len(variables))
         if len(images) ** len(variables) > SUBSTITUTION_CAP:
@@ -369,10 +378,13 @@ def search_derivation(
             assignments = itertools.islice(assignments, SUBSTITUTION_CAP)
         for picks in assignments:
             phi = dict(zip(variables, picks))
-            yield phi, substitute(phi, src).words, substitute(phi, dst)
+            words = image_words({x: img.words for x, img in phi.items()}, src.words)
+            if mode:
+                words = {tuple(sorted(w)) for w in words}
+            yield [phi, tuple(sorted(words, key=word_key)), None]
 
     rules = [
-        (name, direction, _memoized(substitutions(src, dst)))
+        (name, direction, dst, _memoized(substitutions(src, dst)))
         for name, ident in sigma
         for direction, src, dst in (
             (FORWARD, ident.lhs, ident.rhs),
@@ -380,15 +392,16 @@ def search_derivation(
         )
     ]
 
-    def neighbors(t: Term) -> Iterator[tuple[tuple, frozenset[Word]]]:
+    def neighbors(t_words: frozenset[Word]) -> Iterator[tuple[tuple, frozenset[Word]]]:
         """(name, direction, phi, p, q, remainder words) and the result's
-        words of each step from t within the bounds, in the order of the
-        axioms, directions, substitutions, context pairs and kept subsets."""
+        words of each step from t_words within the bounds, in the order of
+        the axioms, directions, substitutions, context pairs and kept
+        subsets."""
         nonlocal matched_count
-        t_words = t.word_set()
-        index = _factor_index(t, pool_index)
-        for name, direction, replay in rules:
-            for phi, src_words, img_dst in replay():
+        index = _factor_index(t_words, mode, pool_index)
+        for name, direction, dst, replay in rules:
+            for entry in replay():
+                phi, src_words, dst_words = entry
                 pairs = index.get(src_words[0])
                 for w in src_words[1:]:
                     if not pairs:
@@ -396,13 +409,15 @@ def search_derivation(
                     pairs = pairs & index.get(w, set())
                 if not pairs:
                     continue
+                if dst_words is None:
+                    dst_words = entry[2] = image_words(
+                        {x: img.words for x, img in phi.items()}, dst.words
+                    )
                 for i, j in sorted(pairs):
                     matched_count += 1
-                    p, q = contexts[i], contexts[j]
-                    before = p.words[0] if p is not None else ()
-                    after = q.words[0] if q is not None else ()
+                    before, after = affixes[i], affixes[j]
                     matched = [before + w + after for w in src_words]
-                    base = [before + w + after for w in img_dst.words]
+                    base = [before + w + after for w in dst_words]
                     if mode:
                         matched = [tuple(sorted(w)) for w in matched]
                         base = [tuple(sorted(w)) for w in base]
@@ -426,46 +441,45 @@ def search_derivation(
                         if any(len(rw) > bounds.max_word_len for rw in words):
                             fired["max_word_len"] += 1
                             continue
-                        yield (name, direction, phi, p, q, r_words), words
+                        yield (name, direction, phi, contexts[i], contexts[j], r_words), words
 
     def outcome(status: str, chain: DerivationChain | None) -> SearchOutcome:
         truncated_by = {g: fired[g] for g in GUARDS if fired[g]}
         return SearchOutcome(status, chain, explored, bounds, truncated_by, matched_count)
 
-    # terms are keyed by their word sets, so a Term is built only for a
-    # result not reached before
-    visited = {start.word_set()}
-    frontier = [start]
-    parents: dict[Term, tuple[Term, DerivationStep]] = {}
+    def found_chain() -> DerivationChain:
+        steps = []
+        words = target_words
+        while words in parents:
+            words, (name, direction, phi, p, q, r_words) = parents[words]
+            remainder = Term(r_words, mode) if r_words else None
+            steps.append(DerivationStep(name, direction, phi, p, q, remainder))
+        steps.reverse()
+        chain = DerivationChain(start, tuple(steps), target)
+        verdict = verify_chain(chain, sigma)
+        if not verdict.ok:
+            raise RuntimeError(f"search produced an unverifiable chain: {verdict.reason}")
+        return chain
+
+    # states are word sets; each reached one maps to its parent and the step
+    start_words, target_words = start.word_set(), target.word_set()
+    visited = {start_words}
+    frontier = [start_words]
+    parents: dict[frozenset[Word], tuple[frozenset[Word], tuple]] = {}
     explored = 0
 
     for _ in range(bounds.max_depth):
-        next_frontier: list[Term] = []
-        for t in frontier:
+        next_frontier: list[frozenset[Word]] = []
+        for t_words in frontier:
             explored += 1
-            for (name, direction, phi, p, q, r_words), words in neighbors(t):
+            for move, words in neighbors(t_words):
                 if words in visited:
                     continue
                 visited.add(words)
-                remainder = Term(r_words, mode) if r_words else None
-                result = Term(words, mode)
-                parents[result] = (t, DerivationStep(name, direction, phi, p, q, remainder))
-                if result == target:
-                    steps = []
-                    node = result
-                    while node != start:
-                        prev, s = parents[node]
-                        steps.append(s)
-                        node = prev
-                    steps.reverse()
-                    chain = DerivationChain(start, tuple(steps), target)
-                    verdict = verify_chain(chain, sigma)
-                    if not verdict.ok:
-                        raise RuntimeError(
-                            f"search produced an unverifiable chain: {verdict.reason}"
-                        )
-                    return outcome("found", chain)
-                next_frontier.append(result)
+                parents[words] = (t_words, move)
+                if words == target_words:
+                    return outcome("found", found_chain())
+                next_frontier.append(words)
         frontier = next_frontier
         if not frontier:
             break
@@ -511,8 +525,8 @@ def _term_or_none(value, commutative: bool) -> Term | None:
 
 
 def chain_to_dict(chain: DerivationChain) -> dict:
-    """The chain's JSON document: the layout chain_to_json writes and
-    chain_from_json reads."""
+    """The chain's JSON document: the layout `derive search --json` prints
+    under "chain" and chain_from_json reads."""
 
     def term_str(t: Term | None):
         return None if t is None else str(t)
@@ -533,10 +547,6 @@ def chain_to_dict(chain: DerivationChain) -> dict:
         ],
         "end": str(chain.end),
     }
-
-
-def chain_to_json(chain: DerivationChain) -> str:
-    return json.dumps(chain_to_dict(chain), indent=2, ensure_ascii=False) + "\n"
 
 
 def chain_from_json(text: str) -> DerivationChain:

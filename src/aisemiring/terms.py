@@ -286,6 +286,18 @@ def filter_content_subset(u: Term, q: Word) -> frozenset[Word]:
 Substitution = Mapping[str, Term]
 
 
+def image_words(images: Mapping[str, Iterable[Word]], words: Iterable[Word]) -> set[Word]:
+    """The words of a substituted sum: each letter of each word is replaced
+    by its image's words, a word maps to the concatenations of one pick
+    per letter, and the sum to the union over its words. The words are
+    not normalized: in commutative mode their letters keep product order."""
+    out: set[Word] = set()
+    for w in words:
+        for pick in itertools.product(*[images[x] for x in w]):
+            out.add(tuple(itertools.chain.from_iterable(pick)))
+    return out
+
+
 def substitute(phi: Substitution, t: Term) -> Term:
     """Homomorphic image of t: each letter is replaced by its image term,
     a word maps to the set product of its letters' images, and the term
@@ -293,12 +305,7 @@ def substitute(phi: Substitution, t: Term) -> Term:
     missing = sorted(content(t) - set(phi))
     if missing:
         raise ValueError(f"substitution does not cover variables: {', '.join(missing)}")
-    out: set[Word] = set()
-    for w in t.words:
-        images = [phi[x].words for x in w]
-        for pick in itertools.product(*images):
-            out.add(tuple(itertools.chain.from_iterable(pick)))
-    return Term(out, t.commutative)
+    return Term(image_words({x: img.words for x, img in phi.items()}, t.words), t.commutative)
 
 
 Assignment = Mapping[str, str]

@@ -602,6 +602,24 @@ class TestDerive:
         assert "search truncated by bounds" in out
         assert "max_word_len x" in out
 
+    def test_huge_max_image_words_returns(self, capsys, axioms_file):
+        # image sizes stop at the pool's size, whatever the bound
+        code, out, _ = run(
+            capsys,
+            "derive",
+            "search",
+            "--axioms",
+            axioms_file,
+            "--goal",
+            "x*y == x*y + y*x",
+            "--max-image-words",
+            "100000000",
+            "--max-depth",
+            "1",
+        )
+        assert code == 1
+        assert out.startswith("no derivation found: search truncated by bounds")
+
     def test_stats_key(self, capsys, axioms_file):
         argv = ["derive", "search", "--axioms", axioms_file, "--json", "--goal"]
         code, out, _ = run(capsys, *argv, "x*y == x*y + x*y*x*y")

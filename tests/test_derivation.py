@@ -1,5 +1,7 @@
 import itertools
+import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -19,7 +21,6 @@ from aisemiring import (
     axioms_to_json,
     builtin,
     chain_from_json,
-    chain_to_json,
     holds_bruteforce,
     holds_s7_0,
     parse_identity,
@@ -30,10 +31,14 @@ from aisemiring import (
     verify_chain,
 )
 from aisemiring.derivation import (
+    GUARDS,
     IMAGE_POOL_CAP,
     KEEP_SUBSET_LIMIT,
     SUBSTITUTION_CAP,
+    SearchOutcome,
     _candidate_words,
+    _memoized,
+    chain_to_dict,
 )
 from aisemiring.terms import word_key
 
@@ -146,6 +151,166 @@ def _reference_search(sigma, goal, bounds):
     if frontier:
         truncated = True
     return ("absent-truncated" if truncated else "absent-exhausted"), explored, None
+
+
+def _term_factor_index(t, pool_index):
+    """_factor_index as it stood when the search still built Terms."""
+    index = {}
+    if t.commutative:
+        counts = [Counter()] + [Counter(w) for w in pool_index]
+        for v in t.words:
+            cv = Counter(v)
+            fits = [0] + [k for k in range(1, len(counts)) if counts[k] <= cv]
+            for i in fits:
+                after_p = cv - counts[i]
+                for j in fits:
+                    if counts[j] <= after_p:
+                        m = after_p - counts[j]
+                        if m:
+                            index.setdefault(tuple(sorted(m.elements())), set()).add((i, j))
+        return index
+    for v in t.words:
+        n = len(v)
+        for a in range(n):
+            i = pool_index.get(v[:a]) if a else 0
+            if i is None:
+                continue
+            for b in range(a + 1, n + 1):
+                j = pool_index.get(v[b:]) if b < n else 0
+                if j is not None:
+                    index.setdefault(v[a:b], set()).add((i, j))
+    return index
+
+
+def _term_search(sigma, goal, bounds):
+    """The matching search as it stood when it built a substituted Term
+    per substitution and a Term per visited state, kept frozen as the
+    reference for the word-set search. It shares only _candidate_words,
+    _memoized and substitute with it."""
+    mode = goal.commutative
+    start, target = goal.lhs, goal.rhs
+    if start == target:
+        return SearchOutcome("found", DerivationChain(start, (), target), 0, bounds)
+
+    fired = Counter()
+    matched_count = 0
+    if max(len(w) for side in (start, target) for w in side) > bounds.max_word_len:
+        fired["max_word_len"] += 1
+    pool_words = _candidate_words(goal, bounds)
+    pool_index = {w: k for k, w in enumerate(pool_words, 1)}
+
+    images = [Term.single(w, mode) for w in pool_words]
+    for size in range(2, bounds.max_image_words + 1):
+        for combo in itertools.combinations(pool_words, size):
+            images.append(Term(combo, mode))
+            if len(images) >= IMAGE_POOL_CAP:
+                fired["IMAGE_POOL_CAP"] += 1
+                break
+        if len(images) >= IMAGE_POOL_CAP:
+            break
+    contexts = [None] + images[: len(pool_words)]
+
+    def substitutions(src, dst):
+        variables = sorted(content(src) | content(dst))
+        assignments = itertools.product(images, repeat=len(variables))
+        if len(images) ** len(variables) > SUBSTITUTION_CAP:
+            fired["SUBSTITUTION_CAP"] += 1
+            assignments = itertools.islice(assignments, SUBSTITUTION_CAP)
+        for picks in assignments:
+            phi = dict(zip(variables, picks))
+            yield phi, substitute(phi, src).words, substitute(phi, dst)
+
+    rules = [
+        (name, direction, _memoized(substitutions(src, dst)))
+        for name, ident in sigma
+        for direction, src, dst in (
+            ("forward", ident.lhs, ident.rhs),
+            ("backward", ident.rhs, ident.lhs),
+        )
+    ]
+
+    def neighbors(t):
+        nonlocal matched_count
+        t_words = t.word_set()
+        index = _term_factor_index(t, pool_index)
+        for name, direction, replay in rules:
+            for phi, src_words, img_dst in replay():
+                pairs = index.get(src_words[0])
+                for w in src_words[1:]:
+                    if not pairs:
+                        break
+                    pairs = pairs & index.get(w, set())
+                if not pairs:
+                    continue
+                for i, j in sorted(pairs):
+                    matched_count += 1
+                    p, q = contexts[i], contexts[j]
+                    before = p.words[0] if p is not None else ()
+                    after = q.words[0] if q is not None else ()
+                    matched = [before + w + after for w in src_words]
+                    base = [before + w + after for w in img_dst.words]
+                    if mode:
+                        matched = [tuple(sorted(w)) for w in matched]
+                        base = [tuple(sorted(w)) for w in base]
+                    rest = t_words.difference(matched)
+                    if len(matched) > KEEP_SUBSET_LIMIT:
+                        fired["KEEP_SUBSET_LIMIT"] += 1
+                        keep_space = [()]
+                    else:
+                        ordered = sorted(matched, key=word_key)
+                        keep_space = [
+                            c
+                            for size in range(len(matched) + 1)
+                            for c in itertools.combinations(ordered, size)
+                        ]
+                    for keep in keep_space:
+                        r_words = rest.union(keep)
+                        words = r_words.union(base)
+                        if len(words) > bounds.max_words:
+                            fired["max_words"] += 1
+                            continue
+                        if any(len(rw) > bounds.max_word_len for rw in words):
+                            fired["max_word_len"] += 1
+                            continue
+                        yield (name, direction, phi, p, q, r_words), words
+
+    def outcome(status, chain):
+        truncated_by = {g: fired[g] for g in GUARDS if fired[g]}
+        return SearchOutcome(status, chain, explored, bounds, truncated_by, matched_count)
+
+    visited = {start.word_set()}
+    frontier = [start]
+    parents = {}
+    explored = 0
+
+    for _ in range(bounds.max_depth):
+        next_frontier = []
+        for t in frontier:
+            explored += 1
+            for (name, direction, phi, p, q, r_words), words in neighbors(t):
+                if words in visited:
+                    continue
+                visited.add(words)
+                remainder = Term(r_words, mode) if r_words else None
+                result = Term(words, mode)
+                parents[result] = (t, DerivationStep(name, direction, phi, p, q, remainder))
+                if result == target:
+                    steps = []
+                    node = result
+                    while node != start:
+                        prev, s = parents[node]
+                        steps.append(s)
+                        node = prev
+                    steps.reverse()
+                    return outcome("found", DerivationChain(start, tuple(steps), target))
+                next_frontier.append(result)
+        frontier = next_frontier
+        if not frontier:
+            break
+
+    if frontier:
+        fired["max_depth"] += len(frontier)
+    return outcome("absent-truncated" if fired else "absent-exhausted", None)
 
 
 def step(axiom="ax1", direction="forward", phi=None, **kw):
@@ -347,7 +512,7 @@ class TestSemanticSoundness:
 class TestSerialization:
     def test_chain_round_trip(self):
         chain = TestVerifyChain().two_step_chain()
-        assert chain_from_json(chain_to_json(chain)) == chain
+        assert chain_from_json(json.dumps(chain_to_dict(chain))) == chain
 
     def test_chain_with_contexts_round_trips_and_verifies(self):
         s = DerivationStep(
@@ -364,7 +529,7 @@ class TestSerialization:
             parse_term("a*b*c + w + v"),
         )
         assert verify_chain(chain, SIGMA).ok
-        assert chain_from_json(chain_to_json(chain)) == chain
+        assert chain_from_json(json.dumps(chain_to_dict(chain))) == chain
 
     def test_axioms_round_trip(self):
         assert list(axioms_from_json(axioms_to_json(SIGMA))) == list(SIGMA)
@@ -459,7 +624,7 @@ class TestMatchingSearch:
         status, explored, chain = _reference_search(sigma, goal, bounds)
         assert (new.status, new.explored) == (status, explored)
         if chain is not None:
-            assert chain_to_json(new.chain) == chain_to_json(chain)
+            assert chain_to_dict(new.chain) == chain_to_dict(chain)
         else:
             assert bool(new.truncated_by) == (status == "absent-truncated")
 
@@ -471,7 +636,7 @@ class TestMatchingSearch:
         (s,) = outcome.chain.steps
         assert (s.left_context, s.right_context) == (None, parse_term("x"))
         _, _, chain = _reference_search(SIGMA, goal, SearchBounds())
-        assert chain_to_json(outcome.chain) == chain_to_json(chain)
+        assert chain_to_dict(outcome.chain) == chain_to_dict(chain)
 
     def test_found_goals_hold_in_s7_0(self):
         # soundness: axioms that hold in S7_0 only derive identities the
@@ -546,3 +711,127 @@ class TestMatchingSearch:
         goal = parse_identity("a*b*c*d*e*f*g == a*b*c*d*e*f*g + g")
         outcome = search_derivation(sigma, goal, SearchBounds(max_depth=1))
         assert outcome.truncated_by["SUBSTITUTION_CAP"] == 2
+
+
+def _random_sigma(data, commutative):
+    """1-3 axioms over 1-3 variables each, sides of 1-2 short words."""
+    axioms = []
+    for k in range(data.draw(st.integers(1, 3))):
+        variables = ("x", "y", "z")[: data.draw(st.integers(1, 3))]
+        word = st.lists(st.sampled_from(variables), min_size=1, max_size=2)
+        side = st.lists(word, min_size=1, max_size=2)
+        lhs, rhs = data.draw(side), data.draw(side)
+        axioms.append((f"a{k}", Identity(Term(lhs, commutative), Term(rhs, commutative))))
+    return AxiomSet(axioms)
+
+
+def _summary(outcome):
+    chain = None if outcome.chain is None else chain_to_dict(outcome.chain)
+    return outcome.status, outcome.explored, outcome.matched, outcome.truncated_by, chain
+
+
+class TestWordSetSearch:
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_matches_term_search(self, data):
+        commutative = data.draw(st.booleans())
+        sigma = _random_sigma(data, commutative)
+        bounds = SearchBounds(
+            max_depth=data.draw(st.sampled_from((2, 1, 3, 0))),
+            max_words=data.draw(st.sampled_from((4, 5, 6, 3, 2))),
+            # below 4 a goal word can be longer than max_word_len
+            max_word_len=data.draw(st.sampled_from((3, 4, 2, 1))),
+            max_image_words=data.draw(st.sampled_from((1, 2))),
+        )
+        letters = data.draw(st.sampled_from(("a", "ab", "abc")))
+        word = st.lists(st.sampled_from(letters), min_size=1, max_size=5 - bounds.max_image_words)
+        lhs = Term(data.draw(st.lists(word, min_size=1, max_size=2)), commutative)
+        if data.draw(st.booleans()):
+            # a one-step instance of an axiom, so that found chains are common
+            name, ident = data.draw(st.sampled_from(list(sigma)))
+            short = st.lists(st.sampled_from(letters), min_size=1, max_size=2)
+            phi = {
+                x: Term([data.draw(short)], commutative)
+                for x in sorted(content(ident.lhs) | content(ident.rhs))
+            }
+            goal = Identity(lhs + substitute(phi, ident.lhs), lhs + substitute(phi, ident.rhs))
+        else:
+            goal = Identity(lhs, Term(data.draw(st.lists(word, min_size=1, max_size=2)), commutative))
+        # test_trivial_goal covers equal sides
+        assume(not goal.is_trivial())
+        # keep the substitution lists short, so that the examples stay fast
+        pool = len(_candidate_words(goal, bounds))
+        images = pool + (pool * (pool - 1) // 2 if bounds.max_image_words == 2 else 0)
+        assume(sum(images ** len(content(i.lhs) | content(i.rhs)) for _, i in sigma) <= 1500)
+        assert _summary(search_derivation(sigma, goal, bounds)) == _summary(
+            _term_search(sigma, goal, bounds)
+        )
+
+    def test_matches_term_search_past_the_substitution_cap(self):
+        # the replays cut at SUBSTITUTION_CAP in the same product order
+        sigma = AxiomSet(
+            [
+                ("three", parse_identity("x*y*z == z*y*x")),
+                ("sq", parse_identity("x == x + x*x")),
+            ]
+        )
+        goal = parse_identity("a*b*c*d*e*f*g == a*b*c*d*e*f*g + a*b*g")
+        bounds = SearchBounds(max_depth=1)
+        new = search_derivation(sigma, goal, bounds)
+        assert new.truncated_by["SUBSTITUTION_CAP"] == 2
+        assert _summary(new) == _summary(_term_search(sigma, goal, bounds))
+
+    @pytest.mark.parametrize("commutative", [False, True])
+    def test_huge_max_image_words_is_the_whole_pool(self, commutative):
+        sigma = AxiomSet([("ax1", parse_identity("x == x + x*x", commutative))])
+        goal = parse_identity("x*y == x*y + x*y*x*y", commutative)
+        pool = len(_candidate_words(goal, SearchBounds()))
+        for depth in (1, 0):
+            huge, whole = (
+                search_derivation(sigma, goal, SearchBounds(max_depth=depth, max_image_words=k))
+                for k in (10**9, pool)
+            )
+            assert _summary(huge) == _summary(whole)
+
+    def test_terms_built_only_for_images_and_the_chain(self, monkeypatch):
+        sigma = AxiomSet(
+            [
+                ("sq", parse_identity("x == x + x*x")),
+                ("dup", parse_identity("x + y == x + y + x*y")),
+            ]
+        )
+        built = [0]
+        init = Term.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built[0] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Term, "__init__", counting_init)
+
+        def count(fn):
+            built[0] = 0
+            return fn(), built[0]
+
+        # absent: the image Terms, which double as the contexts, and no more
+        goal = parse_identity("x*y == y*x")
+        pool = len(_candidate_words(goal, SearchBounds(max_word_len=4)))
+        counts = []
+        for depth in (1, 2):
+            bounds = SearchBounds(max_depth=depth, max_words=4, max_word_len=4)
+            outcome, terms = count(lambda: search_derivation(sigma, goal, bounds))
+            assert not outcome.found
+            counts.append((outcome.explored, outcome.matched, terms))
+        assert counts[0][0] < counts[1][0] and counts[0][1] < counts[1][1]
+        assert [terms for _, _, terms in counts] == [pool, pool]
+
+        # found: plus each step's remainder and what verifying the chain builds
+        goal = parse_identity("x*y == x*y + x*y*x*y + x*y*x*y*x*y*x*y")
+        bounds = SearchBounds(max_depth=2, max_words=4)
+        outcome, terms = count(lambda: search_derivation(sigma, goal, bounds))
+        assert outcome.found and len(outcome.chain.steps) == 2
+        verdict, verifying = count(lambda: verify_chain(outcome.chain, sigma))
+        assert verdict.ok
+        remainders = sum(s.remainder is not None for s in outcome.chain.steps)
+        pool = len(_candidate_words(goal, bounds))
+        assert terms == pool + remainders + verifying

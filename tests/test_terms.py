@@ -21,6 +21,7 @@ from aisemiring import (
     random_identity,
     substitute,
 )
+from aisemiring.terms import image_words
 
 VARS = ("x", "y", "z")
 
@@ -220,6 +221,36 @@ class TestSubstitute:
         phi = {"p": phi_images[0], "q": phi_images[1]}
         composed = {v: substitute(phi, img) for v, img in psi.items()}
         assert substitute(phi, substitute(psi, t)) == substitute(composed, t)
+
+    @settings(deadline=None)
+    @given(
+        st.data(),
+        st.booleans(),
+        terms(alphabet=("x", "y"), commutative=False, max_words=3, max_word_len=4),
+    )
+    def test_image_words_is_the_product_of_images(self, data, mode, t):
+        # images of several words over repeated letters; the reference
+        # multiplies and adds the image terms with the semiring operations
+        t = Term(t.words, mode)
+        image = terms(alphabet=("a", "b"), commutative=mode, max_words=3, max_word_len=2)
+        phi = {"x": data.draw(image), "y": data.draw(image)}
+        out = image_words({x: img.words for x, img in phi.items()}, t.words)
+        reference = None
+        for w in t.words:
+            product = phi[w[0]]
+            for x in w[1:]:
+                product = product * phi[x]
+            reference = product if reference is None else reference + product
+        assert Term(out, mode).words == substitute(phi, t).words == reference.words
+
+    def test_image_words_keep_product_order(self):
+        # the words are not normalized: commutative callers sort them
+        images = {"x": (("b",),), "y": (("a",), ("a", "a"))}
+        out = image_words(images, [("x", "y"), ("y",)])
+        assert out == {("b", "a"), ("b", "a", "a"), ("a",), ("a", "a")}
+        assert substitute(
+            {x: Term(ws, True) for x, ws in images.items()}, Term([("x", "y"), ("y",)], True)
+        ).words == (("a",), ("a", "a"), ("a", "b"), ("a", "a", "b"))
 
 
 ASSIGNMENTS_S7 = st.fixed_dictionaries(
