@@ -4,7 +4,13 @@ Terms are finite sets of nonempty words; identities can be settled by a
 brute-force evaluation oracle over any finite semiring or by syntactic
 criteria for the built-in algebras and their zero-adjunctions, with a
 derivation calculus and the odd-cycle witness family on top.
+
+The derivation, graphs and witness modules, and the names exported from
+them, load on first use (PEP 562), so checking an identity imports
+neither them nor json.
 """
+
+from types import ModuleType as _ModuleType
 
 from .algebra import (
     BUILTIN_NAMES,
@@ -35,23 +41,7 @@ from .deciders import (
     random_identity,
     syntactic_decider,
 )
-from .derivation import (
-    AxiomSet,
-    ChainVerdict,
-    DerivationChain,
-    DerivationStep,
-    SearchBounds,
-    SearchOutcome,
-    StepMismatch,
-    apply_step,
-    axioms_from_json,
-    axioms_to_json,
-    chain_from_json,
-    search_derivation,
-    verify_chain,
-)
 from .errors import SizeLimitError
-from .graphs import OddCycleSearch, TermGraph, odd_cycle, term_graph
 from .parsing import ParseError, parse_identity, parse_term, parse_word
 from .terms import (
     Identity,
@@ -66,15 +56,60 @@ from .terms import (
     is_linear,
     substitute,
 )
-from .witness import (
-    ConditionCheck,
-    ConditionReport,
-    FactCheck,
-    WitnessPair,
-    WitnessReport,
-    check_axiom_conditions,
-    check_witness_facts,
-    make_witness,
-)
+
+_LAZY = {
+    "derivation": (
+        "AxiomSet",
+        "ChainVerdict",
+        "DerivationChain",
+        "DerivationStep",
+        "SearchBounds",
+        "SearchOutcome",
+        "StepMismatch",
+        "apply_step",
+        "axioms_from_json",
+        "axioms_to_json",
+        "chain_from_json",
+        "search_derivation",
+        "verify_chain",
+    ),
+    "graphs": ("OddCycleSearch", "TermGraph", "odd_cycle", "term_graph"),
+    "witness": (
+        "ConditionCheck",
+        "ConditionReport",
+        "FactCheck",
+        "WitnessPair",
+        "WitnessReport",
+        "check_axiom_conditions",
+        "check_witness_facts",
+        "make_witness",
+    ),
+}
+_LAZY_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
+# every public name but the submodules, the lazy names included
+__all__ = [
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+] + list(_LAZY_HOME)
+
+
+def __getattr__(name: str):
+    """Import a lazy submodule, or the one that a lazy name comes from, and
+    keep the name as a module global, so that this runs once per name."""
+    home = name if name in _LAZY else _LAZY_HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    module = import_module(f"{__name__}.{home}")
+    value = module if home == name else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY, *_LAZY_HOME})
+
 
 __version__ = "0.1.0"

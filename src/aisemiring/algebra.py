@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 
 from .errors import SizeLimitError
 from .records import Record, set_field
@@ -326,6 +325,8 @@ def builtin(name: str) -> FiniteSemiring:
 
 def semiring_to_json(s: FiniteSemiring) -> str:
     """Canonical JSON text for a semiring; byte-stable for a fixed element order."""
+    import json
+
     doc = {
         "elements": list(s.elements),
         "add": [[s.elements[c] for c in row] for row in s.add],
@@ -340,6 +341,8 @@ def tables_from_json(text: str):
     Structural problems (missing fields, non-square tables, unknown names)
     raise ValueError; no axiom checking happens here.
     """
+    import json
+
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

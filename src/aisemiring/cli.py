@@ -8,16 +8,19 @@ use it. An argv made of a command path and whole option names with plain
 values is read straight from the parser's actions (_exact_args); anything
 else (help, abbreviations, --opt=value, usage errors) goes to argparse,
 which also writes every help text and usage message.
+
+Modules that only some commands call are imported inside those commands:
+derivation by the derive commands, witness by witness and axiom-check. So
+a check, delta, validate or crossval process on a builtin semiring loads
+neither, nor json: --json output is laid out here.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
+import os
 import sys
-from json.encoder import encode_basestring
-from pathlib import Path
 
 from .algebra import (
     BUILTIN_NAMES,
@@ -32,45 +35,33 @@ from .deciders import (
     holds_bruteforce,
     syntactic_decider,
 )
-from .derivation import (
-    SearchBounds,
-    apply_step,
-    axioms_from_json,
-    chain_from_json,
-    chain_to_dict,
-    search_derivation,
-    verify_chain,
-)
 from .errors import SizeLimitError
 from .parsing import parse_identity, parse_term
 from .terms import delta_sets, format_word
-from .witness import (
-    CONDITION_TEXT,
-    check_axiom_conditions,
-    check_witness_facts,
-    make_witness,
-)
+
+try:
+    # the C string encoder that json.encoder re-exports, without importing
+    # json (its decoder and scanner compile regexes on import)
+    from _json import encode_basestring
+except ImportError:
+    from json.encoder import encode_basestring
 
 
-def _is_file(path: Path) -> bool:
-    """Path.is_file, with names the OS rejects (too long, say) read as no file."""
-    try:
-        return path.is_file()
-    except OSError:
-        return False
+def _read_text(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
 def _load_semiring(arg: str) -> FiniteSemiring | AxiomViolation:
     """A builtin by name, else the axiom-checked table of a semiring file."""
     if arg in BUILTIN_NAMES:
         return builtin(arg)
-    path = Path(arg)
-    if not _is_file(path):
+    if not os.path.isfile(arg):
         raise ValueError(
             f"unknown semiring {arg!r}: not one of {', '.join(BUILTIN_NAMES)} "
             "and no such file"
         )
-    return semiring_from_json(path.read_text(encoding="utf-8"))
+    return semiring_from_json(_read_text(arg))
 
 
 def _valid_semiring(arg: str) -> FiniteSemiring:
@@ -81,9 +72,10 @@ def _valid_semiring(arg: str) -> FiniteSemiring:
 
 
 def _identity_arg(value: str, commutative: bool):
-    path = Path(value)
-    if _is_file(path):
-        value = path.read_text(encoding="utf-8").strip()
+    """The identity in the file named value, else value itself parsed;
+    isfile is False for text no file name can be (too long, or with a NUL)."""
+    if os.path.isfile(value):
+        value = _read_text(value).strip()
     return parse_identity(value, commutative)
 
 
@@ -111,7 +103,7 @@ def _json_text(value, indent: str = "") -> str:
                     raise TypeError(
                         f"keys must be str, int, float, bool or None, not {type(key).__name__}"
                     )
-                key = json.dumps(key)
+                key = _json_text(key)
             items.append(f"{inner}{encode_basestring(key)}: {_json_text(item, inner)}")
         return "{\n" + ",\n".join(items) + "\n" + indent + "}"
     if isinstance(value, (list, tuple)):
@@ -120,7 +112,9 @@ def _json_text(value, indent: str = "") -> str:
         inner = indent + "  "
         items = [inner + _json_text(item, inner) for item in value]
         return "[\n" + ",\n".join(items) + "\n" + indent + "]"
-    return json.dumps(value)
+    from json import dumps
+
+    return dumps(value)
 
 
 def _emit(args, lines: list[str], doc: dict) -> None:
@@ -187,6 +181,8 @@ _STATUS = {True: "pass", False: "fail", None: "skipped"}
 
 
 def cmd_witness(args) -> int:
+    from .witness import check_witness_facts, make_witness
+
     pair = make_witness(args.n)
     report = check_witness_facts(pair, force_oracle=args.oracle)
     u, q = str(pair.u), format_word(pair.q)
@@ -202,6 +198,8 @@ def cmd_witness(args) -> int:
 
 
 def cmd_axiom_check(args) -> int:
+    from .witness import CONDITION_TEXT, check_axiom_conditions
+
     ident = _identity_arg(args.identity, args.commutative)
     report = check_axiom_conditions(ident.lhs, ident.rhs)
     text = str(ident)
@@ -222,8 +220,10 @@ def cmd_axiom_check(args) -> int:
 
 
 def cmd_derive_verify(args) -> int:
-    sigma = axioms_from_json(Path(args.axioms).read_text(encoding="utf-8"))
-    chain = chain_from_json(Path(args.chain).read_text(encoding="utf-8"))
+    from .derivation import axioms_from_json, chain_from_json, verify_chain
+
+    sigma = axioms_from_json(_read_text(args.axioms))
+    chain = chain_from_json(_read_text(args.chain))
     verdict = verify_chain(chain, sigma)
     if verdict.ok:
         lines = [f"verified: {len(chain.steps)} step(s) from {chain.start} to {chain.end}"]
@@ -240,6 +240,8 @@ def cmd_derive_verify(args) -> int:
 
 
 def _chain_lines(chain, sigma) -> list[str]:
+    from .derivation import apply_step
+
     lines = [f"T1 = {chain.start}"]
     t = chain.start
     for i, step in enumerate(chain.steps, start=1):
@@ -259,7 +261,9 @@ def _chain_lines(chain, sigma) -> list[str]:
 
 
 def cmd_derive_search(args) -> int:
-    sigma = axioms_from_json(Path(args.axioms).read_text(encoding="utf-8"))
+    from .derivation import SearchBounds, axioms_from_json, chain_to_dict, search_derivation
+
+    sigma = axioms_from_json(_read_text(args.axioms))
     goal = parse_identity(args.goal, sigma.commutative)
     bounds = SearchBounds(
         max_depth=args.max_depth,

@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from functools import lru_cache
-from heapq import heapify, heappop, heappush
 from itertools import count
 from operator import itemgetter
 from typing import Callable
@@ -34,6 +33,10 @@ ORACLE_NODE_BUDGET = 1_000_000
 # The most leaves a search over the variables in name order may have. A
 # search that small costs about the same in any order, and in name order
 # it needs no further runs to find the witness (see holds_bruteforce).
+# Both paths pay. With the shape order everywhere, small checks got about
+# a third slower: ordering the variables and the further runs that fix a
+# witness in name order cost more than the search saves. Larger searches
+# got a little faster. So the input size picks the path.
 NAME_ORDER_LEAVES = 4096
 
 
@@ -156,6 +159,8 @@ def _search_order(words: list[tuple[str, ...]], commutative: bool) -> list[str]:
     the search grew tenfold). Stale heap entries are skipped, so the order
     costs O(L log L) for L letters.
     """
+    from heapq import heapify, heappop, heappush
+
     places: dict[str, list[tuple[int, int]]] = {}  # each variable's (word, position)
     for i, w in enumerate(words):
         for p, x in enumerate(w):

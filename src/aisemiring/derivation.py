@@ -432,16 +432,30 @@ def search_derivation(
                             for size in range(len(matched) + 1)
                             for c in itertools.combinations(ordered, size)
                         ]
+                    # Keeping a word that base adds anyway gives the state of
+                    # the same subset without it, met earlier: that state was
+                    # yielded, so it is skipped, or a guard cut it, which
+                    # then counts again as it would for a new candidate.
+                    shared = set(base).intersection(matched)
+                    cut: dict[tuple, str] = {}
                     for keep in keep_space:
+                        if shared and not shared.isdisjoint(keep):
+                            if cut:
+                                guard = cut.get(tuple(w for w in keep if w not in shared))
+                                if guard is not None:
+                                    fired[guard] += 1
+                            continue
                         r_words = rest.union(keep)
                         words = r_words.union(base)
                         if len(words) > bounds.max_words:
-                            fired["max_words"] += 1
+                            guard = "max_words"
+                        elif any(len(rw) > bounds.max_word_len for rw in words):
+                            guard = "max_word_len"
+                        else:
+                            yield (name, direction, phi, contexts[i], contexts[j], r_words), words
                             continue
-                        if any(len(rw) > bounds.max_word_len for rw in words):
-                            fired["max_word_len"] += 1
-                            continue
-                        yield (name, direction, phi, contexts[i], contexts[j], r_words), words
+                        fired[guard] += 1
+                        cut[keep] = guard
 
     def outcome(status: str, chain: DerivationChain | None) -> SearchOutcome:
         truncated_by = {g: fired[g] for g in GUARDS if fired[g]}

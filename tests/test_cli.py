@@ -154,6 +154,18 @@ class TestCheck:
         assert code == 0
         assert "oracle: holds" in out
 
+    @pytest.mark.parametrize(
+        "text, bad",
+        [("x == x\0", "'\\x00'"), ("x*" * 200 + "x == (x", "'('")],
+        ids=["nul", "longer-than-name-max"],
+    )
+    def test_identity_no_file_can_have_reaches_the_parser(self, capsys, text, bad):
+        # no file name holds a NUL or is longer than NAME_MAX: the text is
+        # read inline, and the parser rejects it
+        code, out, err = run(capsys, "check", "--semiring", "S7", "--identity", text)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: unexpected character {bad}")
+
     def test_huge_exponent_exits_two(self, capsys):
         code, _, err = run(
             capsys, "check", "--semiring", "S7", "--identity", "x^3000000 == x"

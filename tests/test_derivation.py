@@ -781,6 +781,30 @@ class TestWordSetSearch:
         assert new.truncated_by["SUBSTITUTION_CAP"] == 2
         assert _summary(new) == _summary(_term_search(sigma, goal, bounds))
 
+    @pytest.mark.parametrize(
+        "axiom, goal, max_word_len, fired",
+        [
+            # matched p, p^2, p^3, s^4, of which the target side adds p^3:
+            # in keep order {s^4} is cut, then the goal is found at {p, p^2},
+            # before {p^3, s^4}, which has {s^4}'s state; so max_word_len
+            # counts the goal word s^4 and {s^4}, not {p^3, s^4}
+            ("y + y*y + y*y*y + v*v*v*v == y*y*y", "p + p^2 + p^3 + s^4 == p + p^2 + p^3", 3, 2),
+            ("x + y == x + y + x*y", "a + b + a*b == a + b", 2, 22),
+            ("x + y + x*y == x + y", "a + b + a*b == a + b", 2, 0),
+        ],
+    )
+    def test_keeping_a_word_the_target_side_adds_counts_as_the_term_search(
+        self, axiom, goal, max_word_len, fired
+    ):
+        sigma = AxiomSet([("ax", parse_identity(axiom))])
+        goal = parse_identity(goal)
+        for depth in (1, 2):
+            bounds = SearchBounds(max_depth=depth, max_word_len=max_word_len)
+            new = search_derivation(sigma, goal, bounds)
+            assert new.found
+            assert new.truncated_by.get("max_word_len", 0) == fired
+            assert _summary(new) == _summary(_term_search(sigma, goal, bounds))
+
     @pytest.mark.parametrize("commutative", [False, True])
     def test_huge_max_image_words_is_the_whole_pool(self, commutative):
         sigma = AxiomSet([("ax1", parse_identity("x == x + x*x", commutative))])
