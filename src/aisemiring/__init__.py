@@ -5,11 +5,16 @@ brute-force evaluation oracle over any finite semiring or by syntactic
 criteria for the built-in algebras and their zero-adjunctions, with a
 derivation calculus and the odd-cycle witness family on top.
 
-The derivation, graphs and witness modules, and the names exported from
-them, load on first use (PEP 562), so checking an identity imports
-neither them nor json.
+The derivation, graphs and witness modules are in sys.modules from the
+start, but as importlib's lazy modules: their code runs on the first
+attribute read. The names exported from them resolve on first use (PEP
+562). So checking an identity runs none of them and imports no json.
 """
 
+import sys as _sys
+from importlib.util import LazyLoader as _LazyLoader
+from importlib.util import find_spec as _find_spec
+from importlib.util import module_from_spec as _module_from_spec
 from types import ModuleType as _ModuleType
 
 from .algebra import (
@@ -87,6 +92,22 @@ _LAZY = {
 }
 _LAZY_HOME = {name: module for module, names in _LAZY.items() for name in names}
 
+
+def _lazy_submodule(name: str) -> _ModuleType:
+    """The submodule, entered in sys.modules as a module whose code runs on
+    its first attribute read (also through vars() or an import of it)."""
+    spec = _find_spec(f"{__name__}.{name}")
+    spec.loader = _LazyLoader(spec.loader)
+    module = _module_from_spec(spec)
+    _sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+derivation = _lazy_submodule("derivation")
+graphs = _lazy_submodule("graphs")
+witness = _lazy_submodule("witness")
+
 # every public name but the submodules, the lazy names included
 __all__ = [
     name for name, value in globals().items()
@@ -95,21 +116,18 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    """Import a lazy submodule, or the one that a lazy name comes from, and
-    keep the name as a module global, so that this runs once per name."""
-    home = name if name in _LAZY else _LAZY_HOME.get(name)
+    """Read a lazy name from its module, which runs that module's code the
+    first time, and keep it as a module global, so this runs once per name."""
+    home = _LAZY_HOME.get(name)
     if home is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    module = import_module(f"{__name__}.{home}")
-    value = module if home == name else getattr(module, name)
+    value = getattr(globals()[home], name)
     globals()[name] = value
     return value
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *_LAZY, *_LAZY_HOME})
+    return sorted({*globals(), *_LAZY_HOME})
 
 
 __version__ = "0.1.0"

@@ -11,8 +11,9 @@ which also writes every help text and usage message.
 
 Modules that only some commands call are imported inside those commands:
 derivation by the derive commands, witness by witness and axiom-check. So
-a check, delta, validate or crossval process on a builtin semiring loads
-neither, nor json: --json output is laid out here.
+a check, delta, validate or crossval process on a builtin semiring runs
+neither (the package holds them as lazy modules), nor imports json:
+--json output is laid out here.
 """
 
 from __future__ import annotations

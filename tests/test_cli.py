@@ -95,6 +95,22 @@ class TestCheck:
         )
         assert code == 0
 
+    def test_a_trailing_slash_names_no_file(self, capsys, tmp_path):
+        # as for the OS, "name/" is no file: the semiring is unknown and the
+        # identity text is parsed as it stands
+        semiring = tmp_path / "s7.json"
+        semiring.write_text(semiring_to_json(builtin("S7")), encoding="utf-8")
+        ident = tmp_path / "ident.txt"
+        ident.write_text("x^2+y == x^2*y^2\n", encoding="utf-8")
+        code, out, err = run(
+            capsys, "check", "--semiring", f"{semiring}/", "--identity", "x == x"
+        )
+        assert (code, out) == (2, "")
+        assert f"unknown semiring '{semiring}/'" in err
+        code, out, err = run(capsys, "check", "--semiring", "S7", "--identity", f"{ident}/")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: unexpected character '/'")
+
     def test_unknown_semiring(self, capsys):
         code, _, err = run(
             capsys, "check", "--semiring", "nope", "--identity", "x == x"
