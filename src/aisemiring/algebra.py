@@ -335,18 +335,25 @@ def semiring_to_json(s: FiniteSemiring) -> str:
     return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
 
 
+def json_document(text: str):
+    """json.loads(text), the one reader of the semiring, axioms and chain
+    files: malformed text, and nesting too deep for json's recursive decoder,
+    raise ValueError."""
+    import json
+
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"not valid JSON: {exc}") from None
+
+
 def tables_from_json(text: str):
     """Parse the semiring file format into (elements, add, mul) index tables.
 
     Structural problems (missing fields, non-square tables, unknown names)
     raise ValueError; no axiom checking happens here.
     """
-    import json
-
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"not valid JSON: {exc}") from None
+    doc = json_document(text)
     if not isinstance(doc, dict):
         raise ValueError("semiring file must be a JSON object")
     for key in ("elements", "add", "mul"):
@@ -372,7 +379,7 @@ def tables_from_json(text: str):
             if not isinstance(row, list) or len(row) != len(elements):
                 raise ValueError(f"{key!r} must be a {len(elements)}x{len(elements)} array")
             for cell in row:
-                if cell not in index:
+                if not isinstance(cell, str) or cell not in index:
                     raise ValueError(f"{key!r} entry {cell!r} is not an element name")
             out.append(tuple(index[cell] for cell in row))
         return tuple(out)

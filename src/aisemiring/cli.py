@@ -3,25 +3,27 @@ axiom-shape checks, derivation verify/search, semiring file validation
 and decider-vs-oracle cross-validation. All output is deterministic for
 fixed inputs and seed; --json mirrors the text reports.
 
-build_parser() is the one grammar of the command line, and two readers
-use it. An argv made of a command path and whole option names with plain
-values is read straight from the parser's actions (_exact_args); anything
-else (help, abbreviations, --opt=value, usage errors) goes to argparse,
-which also writes every help text and usage message.
+The table COMMANDS is the one grammar of the command line, and two
+readers use it. An argv made of a command path and whole option names
+with plain values is read straight from the table (_exact_args);
+anything else (help, abbreviations, --opt=value, usage errors) goes to
+the argparse parser that build_parser() declares from the same table,
+which also writes every help text and usage message. argparse is
+imported only for the argv _exact_args refuses.
 
 Modules that only some commands call are imported inside those commands:
 derivation by the derive commands, witness by witness and axiom-check. So
 a check, delta, validate or crossval process on a builtin semiring runs
-neither (the package holds them as lazy modules), nor imports json:
---json output is laid out here.
+neither (the package holds them as lazy modules), nor imports json,
+argparse or gettext: --json output is laid out here.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import os
 import sys
+from types import SimpleNamespace
 
 from .algebra import (
     BUILTIN_NAMES,
@@ -350,187 +352,152 @@ def cmd_crossval(args) -> int:
     return 0 if report.ok else 1
 
 
+JSON = ("--json", {"action": "store_true", "help": "emit a JSON report instead of text"})
+COMMUTATIVE = (
+    "--commutative",
+    {"action": "store_true", "help": "read words as commutative (letters sorted)"},
+)
+
+# The one grammar of the command line: command name -> (help, handler,
+# options), where derive's handler is a table of its own subcommands. An
+# option is (option string, add_argument keywords), of one of two kinds: a
+# store_true flag, or one value with optional type, choices, default and
+# required. Its dest is argparse's: --max-len is read into max_len.
+COMMANDS = {
+    "check": ("decide an identity in a semiring", cmd_check, (
+        JSON,
+        COMMUTATIVE,
+        ("--semiring", {"required": True, "help": "builtin name or JSON file"}),
+        ("--identity", {"required": True, "help": "identity text or file"}),
+        ("--method", {
+            "choices": ("oracle", "syntactic", "both"),
+            "default": "oracle",
+            "help": "decision route (default: oracle)",
+        }),
+    )),
+    "delta": ("compute the delta-set family of a term", cmd_delta, (
+        JSON, COMMUTATIVE, ("--term", {"required": True}),
+    )),
+    "witness": ("check the facts of the n-th odd-cycle witness pair", cmd_witness, (
+        JSON,
+        ("--n", {"type": int, "required": True}),
+        ("--oracle", {
+            "action": "store_true",
+            "help": "run the brute-force check even beyond the default size limit",
+        }),
+    )),
+    "axiom-check": ("check a candidate axiom against the structural conditions",
+                    cmd_axiom_check, (
+        JSON, COMMUTATIVE, ("--identity", {"required": True}),
+    )),
+    "derive": ("verify or search derivation chains", {
+        "verify": ("replay a chain file against an axiom file", cmd_derive_verify, (
+            JSON, ("--axioms", {"required": True}), ("--chain", {"required": True}),
+        )),
+        "search": ("breadth-first search for a derivation", cmd_derive_search, (
+            JSON,
+            ("--axioms", {"required": True}),
+            ("--goal", {"required": True}),
+            ("--max-depth", {"type": int, "default": 4}),
+            ("--max-words", {"type": int, "default": 8}),
+            ("--max-len", {"type": int, "default": 8}),
+            ("--max-image-words", {"type": int, "default": 1}),
+        )),
+    }, ()),
+    "validate": ("axiom-check a semiring file", cmd_validate, (
+        JSON, ("--semiring", {"required": True, "help": "JSON file or builtin name"}),
+    )),
+    "crossval": ("compare a syntactic decider against the oracle on random identities",
+                 cmd_crossval, (
+        JSON,
+        COMMUTATIVE,
+        ("--semiring", {"required": True, "help": "builtin name"}),
+        ("--samples", {"type": int, "default": 1000}),
+        ("--seed", {"type": int, "default": 0}),
+        ("--max-vars", {"type": int, "default": 4}),
+        ("--max-words", {"type": int, "default": 4}),
+        ("--max-len", {"type": int, "default": 4}),
+    )),
+}
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built once per process: parse_args keeps no state
-    between calls, each call fills a fresh namespace. It is the one
-    declaration of the grammar: _commands() reads the exact-argv table from
-    its actions, and argparse itself handles every other argv."""
+def _dest(option: str) -> str:
+    """The namespace attribute argparse reads an option into."""
+    return option.lstrip("-").replace("-", "_")
+
+
+@functools.cache
+def build_parser():
+    """COMMANDS declared to argparse, once per process (parse_args keeps no
+    state between calls). Only argv that _exact_args refuses come here:
+    help, abbreviations, --opt=value and usage errors."""
+    import argparse
+
+    def declare(parser, table, dest):
+        sub = parser.add_subparsers(dest=dest, required=True)
+        for name, (text, handler, options) in table.items():
+            p = sub.add_parser(name, help=text)
+            if isinstance(handler, dict):
+                declare(p, handler, f"{name}_command")
+                continue
+            for option, keywords in options:
+                p.add_argument(option, **keywords)
+            p.set_defaults(func=handler)
+
     parser = argparse.ArgumentParser(
         prog="aisemiring",
         description="Decide identities in finite additively idempotent semirings.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    json_flag = argparse.ArgumentParser(add_help=False)
-    json_flag.add_argument(
-        "--json", action="store_true", help="emit a JSON report instead of text"
-    )
-    mode_flag = argparse.ArgumentParser(add_help=False)
-    mode_flag.add_argument(
-        "--commutative",
-        action="store_true",
-        help="read words as commutative (letters sorted)",
-    )
-
-    p = sub.add_parser(
-        "check",
-        parents=[json_flag, mode_flag],
-        help="decide an identity in a semiring",
-    )
-    p.add_argument("--semiring", required=True, help="builtin name or JSON file")
-    p.add_argument("--identity", required=True, help="identity text or file")
-    p.add_argument(
-        "--method",
-        choices=("oracle", "syntactic", "both"),
-        default="oracle",
-        help="decision route (default: oracle)",
-    )
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser(
-        "delta",
-        parents=[json_flag, mode_flag],
-        help="compute the delta-set family of a term",
-    )
-    p.add_argument("--term", required=True)
-    p.set_defaults(func=cmd_delta)
-
-    p = sub.add_parser(
-        "witness",
-        parents=[json_flag],
-        help="check the facts of the n-th odd-cycle witness pair",
-    )
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument(
-        "--oracle",
-        action="store_true",
-        help="run the brute-force check even beyond the default size limit",
-    )
-    p.set_defaults(func=cmd_witness)
-
-    p = sub.add_parser(
-        "axiom-check",
-        parents=[json_flag, mode_flag],
-        help="check a candidate axiom against the structural conditions",
-    )
-    p.add_argument("--identity", required=True)
-    p.set_defaults(func=cmd_axiom_check)
-
-    p = sub.add_parser("derive", help="verify or search derivation chains")
-    derive_sub = p.add_subparsers(dest="derive_command", required=True)
-
-    p2 = derive_sub.add_parser(
-        "verify", parents=[json_flag], help="replay a chain file against an axiom file"
-    )
-    p2.add_argument("--axioms", required=True)
-    p2.add_argument("--chain", required=True)
-    p2.set_defaults(func=cmd_derive_verify)
-
-    p2 = derive_sub.add_parser(
-        "search", parents=[json_flag], help="breadth-first search for a derivation"
-    )
-    p2.add_argument("--axioms", required=True)
-    p2.add_argument("--goal", required=True)
-    p2.add_argument("--max-depth", type=int, default=4)
-    p2.add_argument("--max-words", type=int, default=8)
-    p2.add_argument("--max-len", type=int, default=8)
-    p2.add_argument("--max-image-words", type=int, default=1)
-    p2.set_defaults(func=cmd_derive_search)
-
-    p = sub.add_parser(
-        "validate", parents=[json_flag], help="axiom-check a semiring file"
-    )
-    p.add_argument("--semiring", required=True, help="JSON file or builtin name")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser(
-        "crossval",
-        parents=[json_flag, mode_flag],
-        help="compare a syntactic decider against the oracle on random identities",
-    )
-    p.add_argument("--semiring", required=True, help="builtin name")
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-vars", type=int, default=4)
-    p.add_argument("--max-words", type=int, default=4)
-    p.add_argument("--max-len", type=int, default=4)
-    p.set_defaults(func=cmd_crossval)
-
+    declare(parser, COMMANDS, "command")
     return parser
 
 
-@functools.cache
-def _commands() -> dict:
-    """build_parser() as a tree: command name -> subtree, down to a leaf
-    (options by whole option string, required actions, namespace defaults)
-    for each command path such as check or derive search. The defaults are
-    those parse_args starts from: every action's default, each parser's
-    set_defaults and the subparser dests naming the path taken."""
-
-    def walk(parser, defaults):
-        defaults = dict(defaults)
-        options, required, sub = {}, set(), None
-        for action in parser._actions:
-            if isinstance(action, argparse._SubParsersAction):
-                sub = action
-                continue
-            if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
-                defaults[action.dest] = action.default
-            if action.required:
-                required.add(action)
-            # one value or a const: the option kinds _exact_args reads as argparse does
-            if action.nargs in (None, 0) and isinstance(
-                action, (argparse._StoreAction, argparse._StoreConstAction)
-            ):
-                options.update(dict.fromkeys(action.option_strings, action))
-        defaults.update(parser._defaults)
-        if sub is None:
-            return options, frozenset(required), defaults
-        return {
-            name: walk(child, {**defaults, sub.dest: name})
-            for name, child in sub.choices.items()
-        }
-
-    return walk(build_parser(), {})
-
-
 def _exact_args(argv):
-    """The namespace build_parser().parse_args(argv) returns, read without
-    argparse, when argv is a command path followed by whole option names,
-    each value not starting with "-" and valid for the option's type and
-    choices, with every required option given (a repeated option keeps its
-    last value). None for any other argv, which argparse then reads."""
-    node, i = _commands(), 0
-    while isinstance(node, dict):
+    """The namespace build_parser().parse_args(argv) returns, read from
+    COMMANDS without argparse, when argv is a command path followed by whole
+    option names, each value not starting with "-" and valid for the
+    option's type and choices, with every required option given (a repeated
+    option keeps its last value). None for any other argv, which argparse
+    then reads."""
+    node, dest, values, i = COMMANDS, "command", {}, 0
+    while isinstance(node, dict):  # down the command path to its handler
         if i == len(argv) or argv[i] not in node:
             return None
-        node, i = node[argv[i]], i + 1
-    options, required, defaults = node
-    values, seen = dict(defaults), set()
+        name = argv[i]
+        values[dest] = name
+        _, node, options = node[name]
+        dest, i = f"{name}_command", i + 1
+    values["func"] = node
+    by_option, required = {}, set()
+    for option, keywords in options:
+        dest = _dest(option)
+        by_option[option] = dest, keywords
+        values[dest] = False if "action" in keywords else keywords.get("default")
+        if keywords.get("required"):
+            required.add(option)
     while i < len(argv):
-        action = options.get(argv[i])
-        if action is None:
+        if argv[i] not in by_option:
             return None
-        if action.nargs == 0:
-            values[action.dest] = action.const
+        dest, keywords = by_option[argv[i]]
+        required.discard(argv[i])
+        if "action" in keywords:  # store_true
+            values[dest] = True
             i += 1
-        else:
-            if i + 1 == len(argv) or argv[i + 1].startswith("-"):
-                return None
-            text = argv[i + 1]
-            try:
-                value = text if action.type is None else action.type(text)
-            except (TypeError, ValueError):
-                return None
-            if action.choices is not None and value not in action.choices:
-                return None
-            values[action.dest] = value
-            i += 2
-        seen.add(action)
-    if not required <= seen:
+            continue
+        if i + 1 == len(argv) or argv[i + 1].startswith("-"):
+            return None
+        try:
+            value = keywords.get("type", str)(argv[i + 1])
+        except (TypeError, ValueError):
+            return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        values[dest] = value
+        i += 2
+    if required:
         return None
-    return argparse.Namespace(**values)
+    return SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:

@@ -16,6 +16,7 @@ import json
 from collections import Counter
 from typing import Callable, Iterable, Iterator, Mapping
 
+from .algebra import json_document
 from .parsing import parse_identity, parse_term
 from .records import Record, set_field
 from .terms import Identity, Term, Word, content, image_words, substitute, word_key
@@ -513,11 +514,19 @@ def axioms_to_json(sigma: AxiomSet) -> str:
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
+def _commutative(doc: dict) -> bool:
+    """A document's "commutative" flag: a JSON boolean, false when absent."""
+    value = doc.get("commutative", False)
+    if not isinstance(value, bool):
+        raise ValueError(f'"commutative" must be true or false, not {value!r}')
+    return value
+
+
 def axioms_from_json(text: str) -> AxiomSet:
-    doc = json.loads(text)
+    doc = json_document(text)
     if not isinstance(doc, dict) or not isinstance(doc.get("axioms"), list):
         raise ValueError('axioms document must be an object with an "axioms" list')
-    commutative = bool(doc.get("commutative", False))
+    commutative = _commutative(doc)
     axioms = []
     for entry in doc["axioms"]:
         if (
@@ -564,7 +573,7 @@ def chain_to_dict(chain: DerivationChain) -> dict:
 
 
 def chain_from_json(text: str) -> DerivationChain:
-    doc = json.loads(text)
+    doc = json_document(text)
     if not isinstance(doc, dict):
         raise ValueError("chain document must be an object")
     for key in ("start", "end"):
@@ -572,7 +581,7 @@ def chain_from_json(text: str) -> DerivationChain:
             raise ValueError(f'chain document needs a string "{key}" field')
     if not isinstance(doc.get("steps"), list):
         raise ValueError('chain document needs a "steps" list')
-    commutative = bool(doc.get("commutative", False))
+    commutative = _commutative(doc)
     steps = []
     for entry in doc["steps"]:
         if not isinstance(entry, dict):

@@ -263,6 +263,11 @@ class TestJsonFormat:
             tables_from_json('{"elements": ["x"], "add": [["x"], ["x"]], "mul": [["x"]]}')
         with pytest.raises(ValueError, match="not an element name"):
             tables_from_json('{"elements": ["x"], "add": [["y"]], "mul": [["x"]]}')
+        for cell in ('["x"]', '{"x": 1}', "1", "null", "true"):
+            with pytest.raises(ValueError, match="'add' entry .* is not an element name"):
+                tables_from_json('{"elements": ["x"], "add": [[%s]], "mul": [["x"]]}' % cell)
+        with pytest.raises(ValueError, match="not valid JSON: maximum recursion depth"):
+            tables_from_json("[" * 100_000)
 
     def test_axiom_failure_reported_not_raised(self):
         text = (

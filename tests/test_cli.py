@@ -1,4 +1,7 @@
 import argparse
+import contextlib
+import functools
+import io
 import json
 import os
 import subprocess
@@ -11,7 +14,21 @@ from hypothesis import strategies as st
 
 import aisemiring
 from aisemiring import builtin, semiring_to_json
-from aisemiring.cli import _exact_args, _json_text, build_parser, main
+from aisemiring.cli import (
+    COMMANDS,
+    _exact_args,
+    _json_text,
+    build_parser,
+    cmd_axiom_check,
+    cmd_check,
+    cmd_crossval,
+    cmd_delta,
+    cmd_derive_search,
+    cmd_derive_verify,
+    cmd_validate,
+    cmd_witness,
+    main,
+)
 
 
 def run(capsys, *argv):
@@ -318,6 +335,169 @@ def grammar_argv(draw):
         pieces += [draw(_well_formed_piece(a)) for a in own if a.required]
     pieces = draw(st.permutations(pieces))
     return [*path, *(token for piece in pieces for token in piece)]
+
+
+@functools.cache
+def _reference_parser() -> argparse.ArgumentParser:
+    """The grammar as argparse declared it before COMMANDS existed, kept
+    verbatim and frozen: the parser built from COMMANDS must read, print and
+    refuse exactly what this one does."""
+    parser = argparse.ArgumentParser(
+        prog="aisemiring",
+        description="Decide identities in finite additively idempotent semirings.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag.add_argument(
+        "--json", action="store_true", help="emit a JSON report instead of text"
+    )
+    mode_flag = argparse.ArgumentParser(add_help=False)
+    mode_flag.add_argument(
+        "--commutative",
+        action="store_true",
+        help="read words as commutative (letters sorted)",
+    )
+
+    p = sub.add_parser(
+        "check",
+        parents=[json_flag, mode_flag],
+        help="decide an identity in a semiring",
+    )
+    p.add_argument("--semiring", required=True, help="builtin name or JSON file")
+    p.add_argument("--identity", required=True, help="identity text or file")
+    p.add_argument(
+        "--method",
+        choices=("oracle", "syntactic", "both"),
+        default="oracle",
+        help="decision route (default: oracle)",
+    )
+    p.set_defaults(func=cmd_check)
+
+    p = sub.add_parser(
+        "delta",
+        parents=[json_flag, mode_flag],
+        help="compute the delta-set family of a term",
+    )
+    p.add_argument("--term", required=True)
+    p.set_defaults(func=cmd_delta)
+
+    p = sub.add_parser(
+        "witness",
+        parents=[json_flag],
+        help="check the facts of the n-th odd-cycle witness pair",
+    )
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument(
+        "--oracle",
+        action="store_true",
+        help="run the brute-force check even beyond the default size limit",
+    )
+    p.set_defaults(func=cmd_witness)
+
+    p = sub.add_parser(
+        "axiom-check",
+        parents=[json_flag, mode_flag],
+        help="check a candidate axiom against the structural conditions",
+    )
+    p.add_argument("--identity", required=True)
+    p.set_defaults(func=cmd_axiom_check)
+
+    p = sub.add_parser("derive", help="verify or search derivation chains")
+    derive_sub = p.add_subparsers(dest="derive_command", required=True)
+
+    p2 = derive_sub.add_parser(
+        "verify", parents=[json_flag], help="replay a chain file against an axiom file"
+    )
+    p2.add_argument("--axioms", required=True)
+    p2.add_argument("--chain", required=True)
+    p2.set_defaults(func=cmd_derive_verify)
+
+    p2 = derive_sub.add_parser(
+        "search", parents=[json_flag], help="breadth-first search for a derivation"
+    )
+    p2.add_argument("--axioms", required=True)
+    p2.add_argument("--goal", required=True)
+    p2.add_argument("--max-depth", type=int, default=4)
+    p2.add_argument("--max-words", type=int, default=8)
+    p2.add_argument("--max-len", type=int, default=8)
+    p2.add_argument("--max-image-words", type=int, default=1)
+    p2.set_defaults(func=cmd_derive_search)
+
+    p = sub.add_parser(
+        "validate", parents=[json_flag], help="axiom-check a semiring file"
+    )
+    p.add_argument("--semiring", required=True, help="JSON file or builtin name")
+    p.set_defaults(func=cmd_validate)
+
+    p = sub.add_parser(
+        "crossval",
+        parents=[json_flag, mode_flag],
+        help="compare a syntactic decider against the oracle on random identities",
+    )
+    p.add_argument("--semiring", required=True, help="builtin name")
+    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--max-vars", type=int, default=4)
+    p.add_argument("--max-words", type=int, default=4)
+    p.add_argument("--max-len", type=int, default=4)
+    p.set_defaults(func=cmd_crossval)
+
+    return parser
+
+
+def _parse(parser, argv):
+    """What parser.parse_args(argv) does: the typed namespace, or the exit
+    code of a SystemExit, with what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = _typed(parser.parse_args(argv))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+def _table_options(table):
+    """Every (option string, keywords) pair declared in a COMMANDS table."""
+    for _, handler, options in table.values():
+        if isinstance(handler, dict):
+            yield from _table_options(handler)
+        yield from options
+
+
+PINNED_USAGE_ERRORS = [
+    ["check", "--semiring", "S7", "--identity", "x", "--method", "bogus"],
+    ["witness", "--n", "x"],
+    ["check", "--semiring", "S7"],
+]
+
+
+class TestGrammarMatchesReference:
+    def test_same_command_paths_and_help(self):
+        ours, reference = list(_parsers(build_parser())), list(_parsers(_reference_parser()))
+        assert [path for path, _ in ours] == [path for path, _ in reference]
+        assert len(ours) == 10
+        for (path, parser), (_, frozen) in zip(ours, reference):
+            assert parser.format_help() == frozen.format_help(), path
+
+    @pytest.mark.parametrize("argv", PINNED_USAGE_ERRORS)
+    def test_same_usage_errors(self, argv):
+        result = _parse(build_parser(), argv)
+        assert result[0] == ("exit", 2)
+        assert result == _parse(_reference_parser(), argv)
+
+    @settings(max_examples=500)
+    @given(grammar_argv())
+    def test_same_reading_of_drawn_argv(self, argv):
+        assert _parse(build_parser(), argv) == _parse(_reference_parser(), argv)
+
+    def test_options_are_of_the_two_kinds_exact_args_reads(self):
+        for option, keywords in _table_options(COMMANDS):
+            if "action" in keywords:
+                assert keywords == {"action": "store_true", "help": keywords["help"]}, option
+            else:
+                assert keywords.keys() <= {"type", "choices", "default", "required", "help"}, option
 
 
 class TestExactArgv:
@@ -767,6 +947,54 @@ class TestValidate:
         path.write_text("{", encoding="utf-8")
         code, _, err = run(capsys, "validate", "--semiring", str(path))
         assert code == 2
+
+    def test_non_string_cell_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "cell.json"
+        path.write_text(
+            json.dumps({"elements": ["a"], "add": [[["a"]]], "mul": [["a"]]}), encoding="utf-8"
+        )
+        code, out, err = run(capsys, "validate", "--semiring", str(path))
+        assert (code, out, err) == (2, "", "error: 'add' entry ['a'] is not an element name\n")
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "--semiring", "{deep}"],
+            ["check", "--semiring", "{deep}", "--identity", "x == x"],
+            ["derive", "verify", "--axioms", "{deep}", "--chain", "{deep}"],
+            ["derive", "search", "--axioms", "{deep}", "--goal", "x == x"],
+        ],
+    )
+    def test_nesting_too_deep_for_json_exits_two(self, capsys, tmp_path, argv):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000, encoding="utf-8")
+        code, out, err = run(capsys, *(a.replace("{deep}", str(path)) for a in argv))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: not valid JSON: maximum recursion depth exceeded")
+
+    def test_derive_reports_bad_json_like_validate(self, capsys, tmp_path):
+        path = tmp_path / "junk.json"
+        path.write_text("{", encoding="utf-8")
+        code, out, err = run(capsys, "derive", "search", "--axioms", str(path), "--goal", "x == x")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: not valid JSON: Expecting property name")
+
+    def test_commutative_must_be_a_json_boolean(self, capsys, tmp_path):
+        path = tmp_path / "axioms.json"
+        path.write_text(
+            json.dumps(
+                {"commutative": "false", "axioms": [{"name": "c", "identity": "x*y == y*x"}]}
+            ),
+            encoding="utf-8",
+        )
+        code, out, err = run(
+            capsys, "derive", "search", "--axioms", str(path), "--goal", "x*y == y*x"
+        )
+        assert (code, out, err) == (
+            2, "", "error: \"commutative\" must be true or false, not 'false'\n"
+        )
 
 
 class TestCrossval:

@@ -548,6 +548,7 @@ class TestSerialization:
             "{}",
             '{"axioms": [{"name": 1, "identity": "x == x"}]}',
             '{"axioms": [{"name": "a"}]}',
+            "[" * 100_000,
         ):
             with pytest.raises(ValueError):
                 axioms_from_json(bad)
@@ -556,9 +557,26 @@ class TestSerialization:
             '{"start": "x", "steps": [], "end": 3}',
             '{"start": "x", "steps": [{"axiom": "a"}], "end": "x"}',
             '{"start": "x", "steps": [{"axiom": "a", "phi": {"x": 5}}], "end": "x"}',
+            "[" * 100_000,
         ):
             with pytest.raises(ValueError):
                 chain_from_json(bad)
+
+    @pytest.mark.parametrize("value", ['"false"', '"true"', "0", "1", "null", "[]"])
+    def test_commutative_must_be_a_json_boolean(self, value):
+        axioms = '{"commutative": %s, "axioms": [{"name": "c", "identity": "x*y == y*x"}]}'
+        chain = '{"commutative": %s, "start": "x", "steps": [], "end": "x"}'
+        for load, text in ((axioms_from_json, axioms), (chain_from_json, chain)):
+            with pytest.raises(ValueError, match='"commutative" must be true or false'):
+                load(text % value)
+
+    def test_missing_commutative_means_false(self):
+        sigma = axioms_from_json('{"axioms": [{"name": "c", "identity": "x*y == y*x"}]}')
+        assert not sigma.commutative
+        assert not sigma.get("c").is_trivial()
+        chain = chain_from_json('{"start": "y*x", "steps": [], "end": "y*x"}')
+        assert not chain.start.commutative
+        assert str(chain.start) == "y*x"
 
     def test_duplicate_names_rejected(self):
         ident = parse_identity("x == x")

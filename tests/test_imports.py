@@ -32,8 +32,12 @@ EXPORTS = """
     check_axiom_conditions check_witness_facts make_witness
 """.split()
 
-# modules a check or delta command on a builtin semiring never calls
+# modules a check or delta command on a builtin semiring never calls;
+# argparse (and the gettext it imports) only reads argv that cli's table
+# reader refuses: help, abbreviations, --opt=value and usage errors
 UNUSED_BY_CHECK = {
+    "argparse",
+    "gettext",
     "json",
     "json.decoder",
     "json.scanner",
@@ -106,12 +110,18 @@ def test_derive_search_loads_derivation_and_witness_loads_witness_and_graphs(tmp
     )
     assert codes == [0]
     assert "aisemiring.derivation" in loaded
-    assert not loaded & {"aisemiring.witness", "aisemiring.graphs"}
+    assert not loaded & {"aisemiring.witness", "aisemiring.graphs", "argparse", "gettext"}
 
     codes, loaded = _run_commands(["witness", "--n", "1", "--json"])
     assert codes == [0]
     assert {"aisemiring.witness", "aisemiring.graphs"} <= loaded
-    assert "aisemiring.derivation" not in loaded
+    assert not loaded & {"aisemiring.derivation", "argparse", "gettext"}
+
+
+def test_argv_the_table_reader_refuses_loads_argparse():
+    codes, loaded = _run_commands(["witness", "--n=1"])
+    assert codes == [0]
+    assert "argparse" in loaded
 
 
 def test_every_export_resolves():
