@@ -149,10 +149,6 @@ def cmd_check(args) -> int:
         results["syntactic"] = syntactic(ident)
 
     text = str(ident)
-    lines = [f"identity: {text}", f"semiring: {label}"]
-    for name in ("oracle", "syntactic"):
-        if name in results:
-            lines.extend(_verdict_lines(name, results[name]))
     doc = {
         "identity": text,
         "semiring": label,
@@ -162,8 +158,14 @@ def cmd_check(args) -> int:
     agree = True
     if len(results) == 2:
         agree = results["oracle"].holds == results["syntactic"].holds
-        lines.append(f"agreement: {'yes' if agree else 'no'}")
         doc["agreement"] = agree
+    lines = []
+    if not args.json:  # the text report, oracle first
+        lines = [f"identity: {text}", f"semiring: {label}"]
+        for name, v in results.items():
+            lines.extend(_verdict_lines(name, v))
+        if len(results) == 2:
+            lines.append(f"agreement: {'yes' if agree else 'no'}")
     _emit(args, lines, doc)
     return 0 if agree and all(v.holds for v in results.values()) else 1
 
@@ -287,7 +289,9 @@ def cmd_derive_search(args) -> int:
         "chain": chain_to_dict(outcome.chain) if outcome.found else None,
         "stats": {"truncated_by": outcome.truncated_by, "matched": outcome.matched},
     }
-    if outcome.found:
+    if args.json:  # the chain is in doc; replaying it for the text is not needed
+        lines = []
+    elif outcome.found:
         lines = [f"found: {len(outcome.chain.steps)} step(s)"]
         lines.extend(_chain_lines(outcome.chain, sigma))
     elif outcome.status == "absent-exhausted":

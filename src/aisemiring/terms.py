@@ -25,7 +25,7 @@ from .records import Record, set_field
 Word = tuple[str, ...]
 
 # word visits of one delta_sets search: the largest witness, n = 4999, needs
-# 60,000 for u+q; 20 disjoint edges, with 2^20 delta sets, reach it after 41,662
+# 59,992 for u; 20 disjoint edges, with 2^20 delta sets, reach it after 41,662
 DELTA_WORK_CAP = 250_000
 
 

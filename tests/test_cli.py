@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import aisemiring
-from aisemiring import builtin, semiring_to_json
+from aisemiring import builtin, parse_term, semiring_to_json
 from aisemiring.cli import (
     COMMANDS,
     _exact_args,
@@ -87,6 +87,26 @@ class TestCheck:
         assert doc["results"]["oracle"]["witness"] == {"x": "∞", "y": "a"}
         assert doc["results"]["oracle"]["stats"] == {"nodes": 10, "memo_hits": 0, "top_pruned": 2}
         assert "stats" not in doc["results"]["syntactic"]
+
+    def test_lifted_check_searches_the_cover_once(self, capsys, searched):
+        # u ≈ u+q on the 21-cycle: the one S7 component D ≈ D+q has D = u,
+        # and the family of u+q follows from that of u
+        cycle = " + ".join(f"x{i}*x{i % 21 + 1}" for i in range(1, 22))
+        q = "*".join(f"x{i}" for i in range(1, 22))
+        code, out, _ = run(
+            capsys,
+            "check",
+            "--semiring",
+            "S7_0",
+            "--identity",
+            f"{cycle} == {cycle} + {q}",
+            "--method",
+            "syntactic",
+            "--commutative",
+        )
+        assert code == 0
+        assert "syntactic: holds" in out
+        assert searched == [parse_term(cycle, commutative=True)]
 
     def test_oracle_is_default_method(self, capsys):
         code, out, _ = run(

@@ -17,6 +17,7 @@ from aisemiring import (
     builtin,
     content,
     cross_validate,
+    delta_sets,
     evaluate,
     holds_bruteforce,
     holds_d2,
@@ -514,8 +515,93 @@ class TestLift:
         assert v.details["base"]["holds"] is False
 
 
+def _holds_s7_two_searches(ident: Identity) -> Verdict:
+    # holds_s7 as it was before one side's family was derived from the
+    # other's: both sides searched, kept verbatim as a reference
+    cu, cv = content(ident.lhs), content(ident.rhs)
+    if cu != cv:
+        return Verdict(
+            False,
+            reason=(
+                "content mismatch, only on one side: "
+                f"{', '.join(sorted(cu ^ cv))}"
+            ),
+            details={
+                "clause": "content",
+                "only_lhs": sorted(cu - cv),
+                "only_rhs": sorted(cv - cu),
+            },
+        )
+    du, dv = delta_sets(ident.lhs), delta_sets(ident.rhs)
+    if du != dv:
+        separating = min(du ^ dv, key=lambda z: (len(z), sorted(z)))
+        return Verdict(
+            False,
+            reason=(
+                "delta-set mismatch, separating set "
+                f"{{{','.join(sorted(separating))}}}"
+            ),
+            details={
+                "clause": "delta",
+                "separating": sorted(separating),
+                "in_lhs": separating in du,
+            },
+        )
+    return Verdict(True)
+
+
+_LETTER = st.sampled_from(("x", "y", "z", "w", "v"))
+_WORD = st.lists(_LETTER, min_size=1, max_size=4)
+
+
 class TestShortcut:
     """holds_s7 on D ≈ D+q, the components the S^0 lift hands down."""
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_added_words_match_two_searches(self, data):
+        # the whole verdict, so a changed separating set or in_lhs shows
+        commutative = data.draw(st.booleans())
+        d = Term(data.draw(st.lists(_WORD, min_size=1, max_size=5)), commutative)
+        added_word = st.lists(st.sampled_from(sorted(content(d))), min_size=1, max_size=4)
+        added = data.draw(st.lists(added_word, min_size=1, max_size=3))
+        extended = Term(d.words + tuple(map(tuple, added)), commutative)
+        for ident in (Identity(d, extended), Identity(extended, d)):
+            assert holds_s7(ident).to_dict() == _holds_s7_two_searches(ident).to_dict()
+
+    @settings(max_examples=300)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_random_identities_match_two_searches(self, seed, commutative):
+        ident = random_identity(random.Random(seed), 4, 4, 4, commutative)
+        assert holds_s7(ident).to_dict() == _holds_s7_two_searches(ident).to_dict()
+
+    def test_larger_side_past_the_cap_is_not_searched(self):
+        # 15 edges and their 15 reversals: a search on all 30 words passes
+        # the cap, one on the 15 edges does not, and both have 2^15 members
+        edges = Term([(f"a{i}", f"b{i}") for i in range(15)])
+        both = Term(edges.words + tuple((y, x) for x, y in edges.words))
+        with pytest.raises(SizeLimitError, match="cap"):
+            delta_sets(Term(both.words))
+        assert holds_s7(Identity(edges, both)).holds
+        assert holds_s7(Identity(both, edges)).holds
+        assert len(delta_sets(edges)) == 2**15
+
+    def test_lift_never_searches_an_extended_term(self, searched):
+        built = []
+        add_word = Term.add_word
+
+        def record(t, w):
+            built.append(add_word(t, w))
+            return built[-1]
+
+        with patch.object(Term, "add_word", record):
+            rng = random.Random(15)
+            for _ in range(300):
+                holds_s7_0(random_identity(rng, 4, 4, 4, commutative=rng.random() < 0.5))
+            for n in (1, 5, 12):
+                assert holds_s7_0(make_witness(n).identity).holds
+        assert built and searched
+        assert not {id(t) for t in built} & {id(t) for t in searched}
 
     @settings(max_examples=300)
     @given(st.data())

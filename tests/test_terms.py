@@ -21,6 +21,7 @@ from aisemiring import (
     random_identity,
     substitute,
 )
+from aisemiring.deciders import _delta_families
 from aisemiring.terms import image_words
 
 VARS = ("x", "y", "z")
@@ -190,6 +191,19 @@ class TestDeltaSets:
     @given(terms(alphabet=tuple("abcdefgh"), max_words=6))
     def test_matches_reference_enumeration(self, t):
         assert delta_sets(t) == delta_reference(t) == delta_by_subsets(t)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_family_with_added_words_follows_from_the_smaller(self, data):
+        # D + W with c(W) ⊆ c(D): the family derived from delta(D) is the
+        # one a search on D + W finds, whichever side D stands on
+        d = data.draw(terms(alphabet=tuple("abcde"), max_words=5))
+        w = data.draw(st.lists(words(tuple(sorted(content(d)))), min_size=1, max_size=3))
+        extended = Term(d.words + tuple(w), d.commutative)
+        expected = delta_sets(Term(extended.words, d.commutative))
+        assert expected == delta_reference(extended)
+        assert _delta_families(d, extended) == (delta_sets(d), expected)
+        assert _delta_families(extended, d) == (expected, delta_sets(d))
 
 
 class TestSubstitute:
