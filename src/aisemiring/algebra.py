@@ -108,10 +108,10 @@ class Congruence(Record):
         set_field(self, "partition", partition)
 
     def block_of(self, i: int) -> int:
-        for b, block in enumerate(self.partition):
-            if i in block:
-                return b
-        raise ValueError(f"index {i} not covered by partition")
+        try:
+            return _block_index(self.partition)[i]
+        except KeyError:
+            raise ValueError(f"index {i} not covered by partition") from None
 
 
 class CongruenceViolation(Record):
@@ -188,6 +188,11 @@ def adjoin_zero(s: FiniteSemiring, zero_name: str) -> FiniteSemiring:
     return result
 
 
+def _block_index(blocks) -> dict[int, int]:
+    """Each element index of the blocks mapped to the number of its block."""
+    return {i: b for b, block in enumerate(blocks) for i in block}
+
+
 def _normalize_partition(s: FiniteSemiring, partition) -> tuple[tuple[int, ...], ...]:
     blocks = []
     for block in partition:
@@ -213,10 +218,7 @@ def validate_congruence(s: FiniteSemiring, partition) -> Congruence | Congruence
     a counterexample quadruple.
     """
     blocks = _normalize_partition(s, partition)
-    block_of = {}
-    for b, block in enumerate(blocks):
-        for i in block:
-            block_of[i] = b
+    block_of = _block_index(blocks)
     names = s.elements
     for label, table in (("addition", s.add), ("multiplication", s.mul)):
         for block_a in blocks:
@@ -233,10 +235,7 @@ def validate_congruence(s: FiniteSemiring, partition) -> Congruence | Congruence
 def quotient(s: FiniteSemiring, rho: Congruence) -> FiniteSemiring:
     """Quotient semiring: blocks become elements, named by joining member names."""
     blocks = rho.partition
-    block_of = {}
-    for b, block in enumerate(blocks):
-        for i in block:
-            block_of[i] = b
+    block_of = _block_index(blocks)
     elements = tuple("|".join(s.elements[i] for i in block) for block in blocks)
     k = len(blocks)
     add = tuple(
@@ -275,50 +274,32 @@ def is_isomorphic(s1: FiniteSemiring, s2: FiniteSemiring) -> bool:
     return find_isomorphism(s1, s2) is not None
 
 
-_S7_ELEMENTS = ("1", "a", "0")
-_S7_ADD = (
-    (0, 2, 2),
-    (2, 1, 2),
-    (2, 2, 2),
-)
-_S7_MUL = (
-    (0, 1, 2),
-    (1, 2, 2),
-    (2, 2, 2),
-)
-
-_S7_0_ELEMENTS = ("1", "a", "0", "∞")
-_S7_0_ADD = (
-    (0, 2, 2, 0),
-    (2, 1, 2, 1),
-    (2, 2, 2, 2),
-    (0, 1, 2, 3),
-)
-_S7_0_MUL = (
-    (0, 1, 2, 3),
-    (1, 2, 2, 3),
-    (2, 2, 2, 3),
-    (3, 3, 3, 3),
-)
+# the literal tables of the builtin semirings; S7_0 is built from S7. D2 is
+# the zero adjunction of trivial, but adjoin_zero would list 1 before 0, and
+# the oracle's first witness follows the element order
+_BUILTIN_TABLES = {
+    "S7": (
+        ("1", "a", "0"),
+        ((0, 2, 2), (2, 1, 2), (2, 2, 2)),
+        ((0, 1, 2), (1, 2, 2), (2, 2, 2)),
+    ),
+    "D2": (("0", "1"), ((0, 1), (1, 1)), ((0, 0), (0, 1))),
+    "trivial": (("1",), ((0,),), ((0,),)),
+}
 
 BUILTIN_NAMES = ("S7", "S7_0", "D2", "trivial")
 
 
 @functools.cache
 def builtin(name: str) -> FiniteSemiring:
-    """Return a named built-in algebra: S7, S7_0, D2 or trivial. Each table
-    is validated once per process; the result is frozen, so it is shared."""
-    if name == "S7":
-        tables = (_S7_ELEMENTS, _S7_ADD, _S7_MUL)
-    elif name == "S7_0":
-        tables = (_S7_0_ELEMENTS, _S7_0_ADD, _S7_0_MUL)
-    elif name == "D2":
-        tables = (("0", "1"), ((0, 1), (1, 1)), ((0, 0), (0, 1)))
-    elif name == "trivial":
-        tables = (("1",), ((0,),), ((0,),))
-    else:
+    """Return a named built-in algebra: S7, S7_0 (S7 with the zero ∞
+    adjoined), D2 or trivial. Each is validated once per process; the
+    result is frozen, so it is shared."""
+    if name == "S7_0":
+        return adjoin_zero(builtin("S7"), "∞")
+    if name not in _BUILTIN_TABLES:
         raise ValueError(f"unknown builtin semiring {name!r}; known: {', '.join(BUILTIN_NAMES)}")
-    result = validate_ai_semiring(*tables)
+    result = validate_ai_semiring(*_BUILTIN_TABLES[name])
     assert isinstance(result, FiniteSemiring), result
     return result
 

@@ -40,7 +40,7 @@ from .deciders import (
 )
 from .errors import SizeLimitError
 from .parsing import parse_identity, parse_term
-from .terms import delta_sets, format_word
+from .terms import delta_key, delta_sets, format_delta, format_word
 
 try:
     # the C string encoder that json.encoder re-exports, without importing
@@ -172,11 +172,10 @@ def cmd_check(args) -> int:
 
 def cmd_delta(args) -> int:
     term = parse_term(args.term, args.commutative)
-    family = sorted(delta_sets(term), key=lambda z: (len(z), sorted(z)))
-    rendered = "; ".join("{" + ",".join(sorted(z)) + "}" for z in family)
+    family = sorted(delta_sets(term), key=delta_key)
     _emit(
         args,
-        [rendered if family else "(empty)"],
+        [format_delta(family)],
         {"term": str(term), "delta": [sorted(z) for z in family]},
     )
     return 0
@@ -212,8 +211,7 @@ def cmd_axiom_check(args) -> int:
     for c in report.conditions:
         note = f" ({c.witness})" if c.witness else ""
         lines.append(f"({c.name}) {CONDITION_TEXT[c.name]}: {_STATUS[c.passed]}{note}")
-    rendered = "; ".join("{" + ",".join(sorted(z)) + "}" for z in report.delta)
-    lines.append(f"delta(A): {rendered if report.delta else '(empty)'}")
+    lines.append(f"delta(A): {format_delta(report.delta)}")
     lines.append(
         f"every variable covered: {'yes' if report.every_variable_covered else 'no'}"
     )

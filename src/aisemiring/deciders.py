@@ -24,8 +24,10 @@ from .terms import (
     Term,
     components,
     content,
+    delta_key,
     delta_sets,
     filter_content_subset,
+    format_delta,
     format_word,
 )
 
@@ -508,26 +510,25 @@ def _component_label(base: Term, q) -> str:
     return f"{text} == {text} + {format_word(q)}"
 
 
-def _delta_families(lhs: Term, rhs: Term) -> tuple[frozenset, frozenset]:
-    """The delta families of two sides with equal content. When one side's
-    words lie inside the other's, only the smaller side is searched: the
-    larger side's members are those that meet every added word once."""
-    for small, large in ((lhs, rhs), (rhs, lhs)):
-        if small.word_set() <= large.word_set():
-            family = delta_sets(small)
-            added = large.word_set() - small.word_set()
-            derived = frozenset(
-                z for z in family if all(sum(x in z for x in w) == 1 for w in added)
-            )
-            return (family, derived) if small is lhs else (derived, family)
-    return delta_sets(lhs), delta_sets(rhs)
+def _unmet(side: Term, added: frozenset) -> list[frozenset[str]]:
+    """The members of delta(side) that some word of added meets in other
+    than one letter occurrence. When side and side + added have equal
+    contents, these are exactly the members of delta(side) missing from
+    delta(side + added): the words of side meet every member once. side is
+    searched only when added is nonempty."""
+    if not added:
+        return []
+    return [z for z in delta_sets(side) if any(sum(x in z for x in w) != 1 for w in added)]
 
 
 def holds_s7(ident: Identity) -> Verdict:
     """Decide an identity in S7: contents must match and so must the
-    delta-set families of the two sides. When one side's words lie inside
-    the other's, as in every D ≈ D+q of the S^0 lift, this costs one delta
-    search, on the smaller side."""
+    delta-set families of the two sides. With equal contents, a member of
+    one side's family is missing from the other's exactly when some word
+    only the other side has meets it in other than one letter occurrence
+    (_unmet). So a side is searched only when the other has a word it
+    lacks: D ≈ D+q, as in every component of the S^0 lift, costs one
+    delta search, on D, and equal word sets cost none."""
     cu, cv = content(ident.lhs), content(ident.rhs)
     if cu != cv:
         return Verdict(
@@ -542,19 +543,18 @@ def holds_s7(ident: Identity) -> Verdict:
                 "only_rhs": sorted(cv - cu),
             },
         )
-    du, dv = _delta_families(ident.lhs, ident.rhs)
-    if du != dv:
-        separating = min(du ^ dv, key=lambda z: (len(z), sorted(z)))
+    lw, rw = ident.lhs.word_set(), ident.rhs.word_set()
+    only_lhs = _unmet(ident.lhs, rw - lw)
+    only_rhs = _unmet(ident.rhs, lw - rw)
+    if only_lhs or only_rhs:
+        separating = min(only_lhs + only_rhs, key=delta_key)
         return Verdict(
             False,
-            reason=(
-                "delta-set mismatch, separating set "
-                f"{{{','.join(sorted(separating))}}}"
-            ),
+            reason=f"delta-set mismatch, separating set {format_delta([separating])}",
             details={
                 "clause": "delta",
                 "separating": sorted(separating),
-                "in_lhs": separating in du,
+                "in_lhs": separating in only_lhs,
             },
         )
     return Verdict(True)
@@ -570,12 +570,11 @@ def holds_s0_lift(base_decider: Callable[[Identity], Verdict], ident: Identity) 
     empty-cover, or the base verdict's own clause and details (clause
     "base" with the base verdict embedded when the base gives no clause).
     A component whose q is already a word of u holds in every semiring and
-    is skipped. D is a subset of D+q, so with holds_s7 as base each
-    component costs one delta search, on D.
+    is skipped. With holds_s7 as base, each other component costs one
+    delta search, on D, as only D + q has a word that D lacks.
     """
-    word_sets = {side: side.word_set() for side in (ident.lhs, ident.rhs)}
     for base, q in components(ident):
-        if q in word_sets[base]:
+        if q in base.word_set():
             continue
         cover = filter_content_subset(base, q)
         if not cover:
@@ -620,9 +619,10 @@ def holds_d2(ident: Identity) -> Verdict:
 
 
 def holds_s7_0(ident: Identity) -> Verdict:
-    """Decide an identity in S7_0 as the zero-adjunction of S7: per
-    component, a nonempty content cover, then cover content equal to c(q)
-    and equal delta-set families of the cover with and without q."""
+    """Decide an identity in S7_0, which is S7 with a zero adjoined, as the
+    lift of holds_s7: per component u ≈ u+q, a nonempty content cover D,
+    then c(D) = c(q) and no member of delta(D) that q meets in other than
+    one letter occurrence."""
     return holds_s0_lift(holds_s7, ident)
 
 

@@ -115,7 +115,7 @@ class Term(Record):
         )
 
     def add_word(self, w: Word) -> "Term":
-        return self + Term.single(w, self.commutative)
+        return Term(self.words + (w,), self.commutative)
 
     def __str__(self):
         return " + ".join(format_word(w) for w in self.words)
@@ -171,6 +171,19 @@ def delta_sets(u: Term) -> frozenset[frozenset[str]]:
         family = _exact_covers(u)
         set_field(u, "_delta_sets", family)
         return family
+
+
+def delta_key(z: frozenset[str]) -> tuple:
+    """The order of delta set members in every report: size, then letters."""
+    return (len(z), sorted(z))
+
+
+def format_delta(members) -> str:
+    """Render delta set members, in the given order, as {a,b}; {c}; an
+    empty list as (empty)."""
+    if not members:
+        return "(empty)"
+    return "; ".join("{" + ",".join(sorted(z)) + "}" for z in members)
 
 
 def _exact_covers(u: Term) -> frozenset[frozenset[str]]:

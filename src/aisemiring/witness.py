@@ -22,6 +22,7 @@ from .terms import (
     Term,
     Word,
     content,
+    delta_key,
     delta_sets,
     format_word,
     is_linear,
@@ -280,7 +281,7 @@ def check_axiom_conditions(a: Term, b: Term) -> ConditionReport:
         )
     )
 
-    delta = tuple(sorted(delta_sets(a), key=lambda z: (len(z), sorted(z))))
+    delta = tuple(sorted(delta_sets(a), key=delta_key))
     covered = all(any(x in z for z in delta) for x in sorted(content(a)))
 
     return ConditionReport(

@@ -169,6 +169,10 @@ class TestConstructions:
         q = quotient(s70, rho)
         assert q.size == 2
         assert is_isomorphic(q, builtin("D2"))
+        assert q.elements == ("1|a|0", "∞")
+        assert [rho.block_of(i) for i in range(4)] == [0, 0, 0, 1]
+        with pytest.raises(ValueError, match="index 4 not covered by partition"):
+            rho.block_of(4)
 
     def test_incompatible_partition(self):
         s7 = builtin("S7")

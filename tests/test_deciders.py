@@ -586,6 +586,26 @@ class TestShortcut:
         assert holds_s7(Identity(both, edges)).holds
         assert len(delta_sets(edges)) == 2**15
 
+    @pytest.mark.parametrize(
+        "text, commutative, sides",
+        [
+            # D ≈ D+W, in either order: D only
+            ("x*y + y*z == x*y + y*z + x*z", False, ["lhs"]),
+            ("x*y + y*z + x*z == x*y + y*z", False, ["rhs"]),
+            # equal word sets: no search
+            ("x*y + y*z == y*z + x*y", False, []),
+            ("x*y + z^2 == z^2 + y*x", True, []),
+            # each side has a word the other lacks: both
+            ("x*y + y*z == x*y + x*y*z", False, ["lhs", "rhs"]),
+            ("x*y + y*z == x*z + y*x*z", True, ["lhs", "rhs"]),
+        ],
+    )
+    def test_searches_a_side_only_when_the_other_adds_words(self, searched, text, commutative, sides):
+        ident = parse_identity(text, commutative=commutative)
+        verdict = holds_s7(ident)
+        assert searched == [getattr(ident, side) for side in sides]
+        assert verdict.to_dict() == _holds_s7_two_searches(ident).to_dict()
+
     def test_lift_never_searches_an_extended_term(self, searched):
         built = []
         add_word = Term.add_word

@@ -1,6 +1,9 @@
 """What a process imports: a check loads only the modules checking needs,
 and the package's lazy exports resolve on first use."""
 
+import importlib
+import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -139,6 +142,22 @@ def test_every_export_resolves():
         assert getattr(aisemiring, module) is sys.modules[f"aisemiring.{module}"]
     with pytest.raises(AttributeError, match="no attribute 'nothing'"):
         aisemiring.nothing  # noqa: B018
+
+
+def test_every_traced_function_exists():
+    # the benchmark's tracer wraps these by name; one that is renamed or
+    # removed breaks a traced benchmark run
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TRACED
+    for layer, name in tracing.TRACED:
+        module = importlib.import_module(f"aisemiring.{layer}")
+        fn = getattr(module, name, None)
+        # builtin is a function behind functools.cache
+        assert inspect.isfunction(inspect.unwrap(fn)), f"{layer}.{name}"
 
 
 def test_lazy_exports_listed_before_their_modules_load():

@@ -21,7 +21,7 @@ from aisemiring import (
     random_identity,
     substitute,
 )
-from aisemiring.deciders import _delta_families
+from aisemiring.deciders import _unmet
 from aisemiring.terms import image_words
 
 VARS = ("x", "y", "z")
@@ -195,15 +195,33 @@ class TestDeltaSets:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_family_with_added_words_follows_from_the_smaller(self, data):
-        # D + W with c(W) ⊆ c(D): the family derived from delta(D) is the
-        # one a search on D + W finds, whichever side D stands on
+        # D + W with c(W) ⊆ c(D): the members of delta(D) that _unmet
+        # finds from the added words alone are the ones a search on D + W
+        # does not find, and the other way round none are missing
         d = data.draw(terms(alphabet=tuple("abcde"), max_words=5))
         w = data.draw(st.lists(words(tuple(sorted(content(d)))), min_size=1, max_size=3))
         extended = Term(d.words + tuple(w), d.commutative)
-        expected = delta_sets(Term(extended.words, d.commutative))
-        assert expected == delta_reference(extended)
-        assert _delta_families(d, extended) == (delta_sets(d), expected)
-        assert _delta_families(extended, d) == (expected, delta_sets(d))
+        family = delta_sets(extended)
+        assert family == delta_reference(extended)
+        unmet = _unmet(d, extended.word_set() - d.word_set())
+        assert len(unmet) == len(set(unmet))
+        assert set(unmet) == delta_sets(d) - family
+        assert _unmet(extended, d.word_set() - extended.word_set()) == []
+        assert family - delta_sets(d) == set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_unmet_is_the_family_difference(self, data):
+        # any two terms with equal content, each possibly with words the
+        # other lacks; a last word holds the letters v would miss
+        u = data.draw(terms(alphabet=tuple("abcde"), max_words=5))
+        letters = tuple(sorted(content(u)))
+        v_words = data.draw(st.lists(st.sampled_from(u.words), max_size=3))
+        v_words += data.draw(st.lists(words(letters), max_size=3))
+        missing = content(u) - {x for w in v_words for x in w}
+        v = Term(v_words + [tuple(sorted(missing))] if missing else v_words, u.commutative)
+        for a, b in ((u, v), (v, u)):
+            assert set(_unmet(a, b.word_set() - a.word_set())) == delta_sets(a) - delta_sets(b)
 
 
 class TestSubstitute:
