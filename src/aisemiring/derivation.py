@@ -4,9 +4,10 @@ remainder. Chains of steps are verified exactly. Search explores a
 bounded candidate space breadth first, taking each step from a match of
 a substituted axiom side against factorizations p·m·q of the current
 term's words; it reports absence as exhausted or truncated, and names
-the guards that truncated it. The search works on words: substituted
-sides are built as words once per search and states are word sets, so
-Term and DerivationStep objects are built only for the returned chain.
+the guards that truncated it. The search works on words: images and
+contexts are words, each rule's substituted sides are built as words when
+the search first reaches the rule, and states are word sets, so Term and
+DerivationStep objects are built only for the returned chain.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 from collections import Counter
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .algebra import json_document
 from .parsing import parse_identity, parse_term
@@ -267,25 +268,6 @@ def _candidate_words(goal: Identity, bounds: SearchBounds) -> list:
     return sorted(words, key=word_key)
 
 
-def _memoized(source: Iterator) -> Callable[[], Iterator]:
-    """Replays of source that share one cache: each replay reads the
-    items drawn so far, then draws further items only when it needs them."""
-    cache: list = []
-
-    def replay():
-        i = 0
-        while True:
-            if i == len(cache):
-                item = next(source, None)
-                if item is None:
-                    return
-                cache.append(item)
-            yield cache[i]
-            i += 1
-
-    return replay
-
-
 def _factor_index(
     words: Iterable[Word], commutative: bool, pool_index: Mapping[Word, int]
 ) -> dict[Word, set[tuple[int, int]]]:
@@ -334,10 +316,11 @@ def search_derivation(
     explored term's words are indexed once by their factorizations p·m·q
     over the contexts, and a substituted axiom side with words w1…wk
     admits exactly the context pairs common to the index entries of
-    w1…wk, visited in context order. The substituted sides are built as
-    words once per search, on first use, and the states are word sets:
-    Term and DerivationStep objects are built only for the steps of the
-    returned chain, which re-verifies.
+    w1…wk, visited in context order. Images are tuples of words and
+    contexts are pool words; a rule's substituted sides are built as words
+    into one list when the search first reaches the rule, and the states
+    are word sets: Term and DerivationStep objects are built only for the
+    steps of the returned chain, which re-verifies.
     """
     mode = goal.commutative
     if sigma.commutative != mode and len(sigma) > 0:
@@ -354,21 +337,22 @@ def search_derivation(
     pool_words = _candidate_words(goal, bounds)
     pool_index = {w: k for k, w in enumerate(pool_words, 1)}
 
-    images: list[Term] = [Term.single(w, mode) for w in pool_words]
+    # an image is the tuple of its words, in Term order: pool words are
+    # distinct and in word_key order, and so is each combination of them
+    images: list[tuple[Word, ...]] = [(w,) for w in pool_words]
     # no combination is larger than the pool
     for size in range(2, min(bounds.max_image_words, len(pool_words)) + 1):
         for combo in itertools.combinations(pool_words, size):
-            images.append(Term(combo, mode))
+            images.append(combo)
             if len(images) >= IMAGE_POOL_CAP:
                 fired["IMAGE_POOL_CAP"] += 1
                 break
         if len(images) >= IMAGE_POOL_CAP:
             break
-    # contexts: none, then the single-word images in pool order
-    contexts: list[Term | None] = [None] + images[: len(pool_words)]
+    # contexts: none, then the pool words in pool order
     affixes: list[Word] = [()] + pool_words
 
-    def substitutions(src: Term, dst: Term) -> Iterator[list]:
+    def substitutions(src: Term, dst: Term) -> list[list]:
         """[phi, the words of phi(src) as a Term holds them, None] per
         substitution; neighbors puts the words of phi(dst) in the None
         slot when phi first matches."""
@@ -377,15 +361,19 @@ def search_derivation(
         if len(images) ** len(variables) > SUBSTITUTION_CAP:
             fired["SUBSTITUTION_CAP"] += 1
             assignments = itertools.islice(assignments, SUBSTITUTION_CAP)
+        entries = []
         for picks in assignments:
             phi = dict(zip(variables, picks))
-            words = image_words({x: img.words for x, img in phi.items()}, src.words)
+            words = image_words(phi, src.words)
             if mode:
                 words = {tuple(sorted(w)) for w in words}
-            yield [phi, tuple(sorted(words, key=word_key)), None]
+            entries.append([phi, tuple(sorted(words, key=word_key)), None])
+        return entries
 
+    # [name, direction, src, dst, substitutions]: the list is built when
+    # neighbors first reaches the rule
     rules = [
-        (name, direction, dst, _memoized(substitutions(src, dst)))
+        [name, direction, src, dst, None]
         for name, ident in sigma
         for direction, src, dst in (
             (FORWARD, ident.lhs, ident.rhs),
@@ -394,14 +382,17 @@ def search_derivation(
     ]
 
     def neighbors(t_words: frozenset[Word]) -> Iterator[tuple[tuple, frozenset[Word]]]:
-        """(name, direction, phi, p, q, remainder words) and the result's
+        """(name, direction, phi, i, j, remainder words) and the result's
         words of each step from t_words within the bounds, in the order of
         the axioms, directions, substitutions, context pairs and kept
-        subsets."""
+        subsets; i and j index affixes."""
         nonlocal matched_count
         index = _factor_index(t_words, mode, pool_index)
-        for name, direction, dst, replay in rules:
-            for entry in replay():
+        for rule in rules:
+            name, direction, src, dst, entries = rule
+            if entries is None:
+                entries = rule[4] = substitutions(src, dst)
+            for entry in entries:
                 phi, src_words, dst_words = entry
                 pairs = index.get(src_words[0])
                 for w in src_words[1:]:
@@ -411,9 +402,7 @@ def search_derivation(
                 if not pairs:
                     continue
                 if dst_words is None:
-                    dst_words = entry[2] = image_words(
-                        {x: img.words for x, img in phi.items()}, dst.words
-                    )
+                    dst_words = entry[2] = image_words(phi, dst.words)
                 for i, j in sorted(pairs):
                     matched_count += 1
                     before, after = affixes[i], affixes[j]
@@ -433,30 +422,15 @@ def search_derivation(
                             for size in range(len(matched) + 1)
                             for c in itertools.combinations(ordered, size)
                         ]
-                    # Keeping a word that base adds anyway gives the state of
-                    # the same subset without it, met earlier: that state was
-                    # yielded, so it is skipped, or a guard cut it, which
-                    # then counts again as it would for a new candidate.
-                    shared = set(base).intersection(matched)
-                    cut: dict[tuple, str] = {}
                     for keep in keep_space:
-                        if shared and not shared.isdisjoint(keep):
-                            if cut:
-                                guard = cut.get(tuple(w for w in keep if w not in shared))
-                                if guard is not None:
-                                    fired[guard] += 1
-                            continue
                         r_words = rest.union(keep)
                         words = r_words.union(base)
                         if len(words) > bounds.max_words:
-                            guard = "max_words"
+                            fired["max_words"] += 1
                         elif any(len(rw) > bounds.max_word_len for rw in words):
-                            guard = "max_word_len"
+                            fired["max_word_len"] += 1
                         else:
-                            yield (name, direction, phi, contexts[i], contexts[j], r_words), words
-                            continue
-                        fired[guard] += 1
-                        cut[keep] = guard
+                            yield (name, direction, phi, i, j, r_words), words
 
     def outcome(status: str, chain: DerivationChain | None) -> SearchOutcome:
         truncated_by = {g: fired[g] for g in GUARDS if fired[g]}
@@ -466,9 +440,11 @@ def search_derivation(
         steps = []
         words = target_words
         while words in parents:
-            words, (name, direction, phi, p, q, r_words) = parents[words]
+            words, (name, direction, phi, i, j, r_words) = parents[words]
+            step_phi = {x: Term(img, mode) for x, img in phi.items()}
+            p, q = (Term.single(affixes[k], mode) if k else None for k in (i, j))
             remainder = Term(r_words, mode) if r_words else None
-            steps.append(DerivationStep(name, direction, phi, p, q, remainder))
+            steps.append(DerivationStep(name, direction, step_phi, p, q, remainder))
         steps.reverse()
         chain = DerivationChain(start, tuple(steps), target)
         verdict = verify_chain(chain, sigma)

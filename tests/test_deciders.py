@@ -683,6 +683,27 @@ class TestCrossValidate:
         b = cross_validate(S7, holds_s7, **kw)
         assert a.to_dict() == b.to_dict()
 
+    def test_commutative_runs_draw_their_own_stream(self):
+        def sampled(commutative):
+            seen = []
+
+            def record(ident):
+                lhs, rhs = (Term(t.words, True) for t in (ident.lhs, ident.rhs))
+                seen.append(str(Identity(lhs, rhs)))
+                return holds_s7(ident)
+
+            report = cross_validate(
+                S7, record, samples=40, seed=77, commutative=commutative, label="S7"
+            )
+            assert report.seed == 77
+            return seen
+
+        plain, commutative = sampled(False), sampled(True)
+        # before, the commutative run tested the plain run's identities with
+        # their letters sorted
+        assert commutative != plain
+        assert (sampled(False), sampled(True)) == (plain, commutative)
+
     def test_disagreements_are_recorded(self):
         # deliberately wrong decider: claims everything holds
         report = cross_validate(

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 from collections import Counter
 
@@ -30,6 +31,7 @@ from aisemiring import (
     substitute,
     verify_chain,
 )
+from aisemiring import derivation
 from aisemiring.derivation import (
     GUARDS,
     IMAGE_POOL_CAP,
@@ -37,7 +39,6 @@ from aisemiring.derivation import (
     SUBSTITUTION_CAP,
     SearchOutcome,
     _candidate_words,
-    _memoized,
     chain_to_dict,
 )
 from aisemiring.terms import word_key
@@ -185,8 +186,9 @@ def _term_factor_index(t, pool_index):
 def _term_search(sigma, goal, bounds):
     """The matching search as it stood when it built a substituted Term
     per substitution and a Term per visited state, kept frozen as the
-    reference for the word-set search. It shares only _candidate_words,
-    _memoized and substitute with it."""
+    reference for the word-set search. It builds each rule's substitution
+    list when it first reaches the rule, and shares only _candidate_words
+    and substitute with the word-set search."""
     mode = goal.commutative
     start, target = goal.lhs, goal.rhs
     if start == target:
@@ -216,12 +218,14 @@ def _term_search(sigma, goal, bounds):
         if len(images) ** len(variables) > SUBSTITUTION_CAP:
             fired["SUBSTITUTION_CAP"] += 1
             assignments = itertools.islice(assignments, SUBSTITUTION_CAP)
+        entries = []
         for picks in assignments:
             phi = dict(zip(variables, picks))
-            yield phi, substitute(phi, src).words, substitute(phi, dst)
+            entries.append((phi, substitute(phi, src).words, substitute(phi, dst)))
+        return entries
 
     rules = [
-        (name, direction, _memoized(substitutions(src, dst)))
+        [name, direction, src, dst, None]
         for name, ident in sigma
         for direction, src, dst in (
             ("forward", ident.lhs, ident.rhs),
@@ -233,8 +237,11 @@ def _term_search(sigma, goal, bounds):
         nonlocal matched_count
         t_words = t.word_set()
         index = _term_factor_index(t, pool_index)
-        for name, direction, replay in rules:
-            for phi, src_words, img_dst in replay():
+        for rule in rules:
+            name, direction, src, dst, entries = rule
+            if entries is None:
+                entries = rule[4] = substitutions(src, dst)
+            for phi, src_words, img_dst in entries:
                 pairs = index.get(src_words[0])
                 for w in src_words[1:]:
                     if not pairs:
@@ -759,7 +766,7 @@ class TestWordSetSearch:
             max_words=data.draw(st.sampled_from((4, 5, 6, 3, 2))),
             # below 4 a goal word can be longer than max_word_len
             max_word_len=data.draw(st.sampled_from((3, 4, 2, 1))),
-            max_image_words=data.draw(st.sampled_from((1, 2))),
+            max_image_words=data.draw(st.sampled_from((1, 2, 3))),
         )
         letters = data.draw(st.sampled_from(("a", "ab", "abc")))
         word = st.lists(st.sampled_from(letters), min_size=1, max_size=5 - bounds.max_image_words)
@@ -779,14 +786,15 @@ class TestWordSetSearch:
         assume(not goal.is_trivial())
         # keep the substitution lists short, so that the examples stay fast
         pool = len(_candidate_words(goal, bounds))
-        images = pool + (pool * (pool - 1) // 2 if bounds.max_image_words == 2 else 0)
+        images = sum(math.comb(pool, k) for k in range(1, bounds.max_image_words + 1))
         assume(sum(images ** len(content(i.lhs) | content(i.rhs)) for _, i in sigma) <= 1500)
         assert _summary(search_derivation(sigma, goal, bounds)) == _summary(
             _term_search(sigma, goal, bounds)
         )
 
     def test_matches_term_search_past_the_substitution_cap(self):
-        # the replays cut at SUBSTITUTION_CAP in the same product order
+        # both searches cut a rule's substitution list at SUBSTITUTION_CAP
+        # in the same product order
         sigma = AxiomSet(
             [
                 ("three", parse_identity("x*y*z == z*y*x")),
@@ -835,7 +843,7 @@ class TestWordSetSearch:
             )
             assert _summary(huge) == _summary(whole)
 
-    def test_terms_built_only_for_images_and_the_chain(self, monkeypatch):
+    def test_terms_built_only_for_the_chain(self, monkeypatch):
         sigma = AxiomSet(
             [
                 ("sq", parse_identity("x == x + x*x")),
@@ -855,9 +863,8 @@ class TestWordSetSearch:
             built[0] = 0
             return fn(), built[0]
 
-        # absent: the image Terms, which double as the contexts, and no more
+        # absent: no Term at all
         goal = parse_identity("x*y == y*x")
-        pool = len(_candidate_words(goal, SearchBounds(max_word_len=4)))
         counts = []
         for depth in (1, 2):
             bounds = SearchBounds(max_depth=depth, max_words=4, max_word_len=4)
@@ -865,15 +872,41 @@ class TestWordSetSearch:
             assert not outcome.found
             counts.append((outcome.explored, outcome.matched, terms))
         assert counts[0][0] < counts[1][0] and counts[0][1] < counts[1][1]
-        assert [terms for _, _, terms in counts] == [pool, pool]
+        assert [terms for _, _, terms in counts] == [0, 0]
 
-        # found: plus each step's remainder and what verifying the chain builds
+        # found: each step's phi images, contexts and remainder, plus what
+        # verifying the chain builds
         goal = parse_identity("x*y == x*y + x*y*x*y + x*y*x*y*x*y*x*y")
         bounds = SearchBounds(max_depth=2, max_words=4)
         outcome, terms = count(lambda: search_derivation(sigma, goal, bounds))
         assert outcome.found and len(outcome.chain.steps) == 2
         verdict, verifying = count(lambda: verify_chain(outcome.chain, sigma))
         assert verdict.ok
-        remainders = sum(s.remainder is not None for s in outcome.chain.steps)
-        pool = len(_candidate_words(goal, bounds))
-        assert terms == pool + remainders + verifying
+        chain_terms = sum(
+            len(s.phi)
+            + sum(t is not None for t in (s.left_context, s.right_context, s.remainder))
+            for s in outcome.chain.steps
+        )
+        assert terms == chain_terms + verifying
+
+    def test_substitution_lists_built_on_first_reach(self, monkeypatch):
+        # sq forward finds the goal at depth 1, before the search reaches
+        # three: its substitutions are never built
+        calls = [0]
+        words = derivation.image_words
+
+        def counting_image_words(*args):
+            calls[0] += 1
+            return words(*args)
+
+        monkeypatch.setattr(derivation, "image_words", counting_image_words)
+        sq = ("sq", parse_identity("x == x + x*x"))
+        three = ("three", parse_identity("x*y*z == z*y*x"))
+        goal = parse_identity("x*y == x*y + x*y*x*y")
+        counts = []
+        for sigma in (AxiomSet([sq, three]), AxiomSet([sq])):
+            calls[0] = 0
+            outcome = search_derivation(sigma, goal, SearchBounds(max_depth=1))
+            assert outcome.found and outcome.chain.steps[0].axiom_name == "sq"
+            counts.append(calls[0])
+        assert counts[0] == counts[1]
