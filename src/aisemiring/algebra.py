@@ -257,7 +257,7 @@ def find_isomorphism(s1: FiniteSemiring, s2: FiniteSemiring):
         return None
     n = s1.size
     if n > ISO_CARRIER_CAP:
-        raise SizeLimitError(f"isomorphism search capped at carrier size {ISO_CARRIER_CAP}, got {n}")
+        raise SizeLimitError("ISO_CARRIER_CAP", n, ISO_CARRIER_CAP, "elements")
     rng = range(n)
     for perm in itertools.permutations(rng):
         if all(

@@ -32,13 +32,15 @@ from .terms import (
 )
 
 ORACLE_NODE_BUDGET = 1_000_000
-# The most leaves a search over the variables in name order may have. A
-# search that small costs about the same in any order, and in name order
-# it needs no further runs to find the witness (see holds_bruteforce).
-# Both paths pay. With the shape order everywhere, small checks got about
-# a third slower: ordering the variables and the further runs that fix a
-# witness in name order cost more than the search saves. Larger searches
-# got a little faster. So the input size picks the path.
+# The most leaves a search over the variables in name order may have. Name
+# order is not cheaper per search: on 6-variable S7_0 identities that hold,
+# a search visits 1,388 nodes (1.47 ms) in name order and 522 (0.59 ms) in
+# shape order. But its first falsifying leaf is the witness, so it skips
+# _search_order and the runs that fix a witness in name order (see
+# holds_bruteforce). On many small checks that saving wins: shape order
+# everywhere made the benchmark's check-mixed workload 31 % slower in wall
+# time. So the input size picks the path, trading the one cost against
+# the other.
 NAME_ORDER_LEAVES = 4096
 
 
@@ -252,12 +254,6 @@ def _live_getters(word_steps: list[tuple], k: int) -> list:
     return getters
 
 
-def _over_budget(nodes: int, budget: int) -> SizeLimitError:
-    return SizeLimitError(
-        f"oracle search capped at its node budget: {nodes} nodes visited, budget {budget}"
-    )
-
-
 def _state(getter, mem: list, left: int, right: int) -> tuple:
     """The live state after a depth: the two running sums, and the live
     run products that getter picks from mem."""
@@ -377,7 +373,7 @@ class _Search:
             if d < last:
                 nodes += 1
                 if nodes > budget:
-                    raise _over_budget(nodes, budget)
+                    raise SizeLimitError("ORACLE_NODE_BUDGET", nodes, budget, "nodes visited")
                 left, right = lhs_sums[d], rhs_sums[d]
                 for target, first, rest in entries[d]:
                     v = mem[first]
@@ -408,7 +404,7 @@ class _Search:
                     return tuple(mem[:k]), found[1], found[2]
                 nodes += len(values)
                 if nodes > budget:
-                    raise _over_budget(nodes, budget)
+                    raise SizeLimitError("ORACLE_NODE_BUDGET", nodes, budget, "nodes visited")
             # next sibling, backing up over exhausted digits; a node all of
             # whose children are exhausted clears its key
             while mem[d] == hi[d]:
@@ -629,7 +625,7 @@ def holds_s7_0(ident: Identity) -> Verdict:
 def syntactic_decider(name: str) -> Callable[[Identity], Verdict]:
     """The syntactic decider for a builtin semiring name. The table is built
     per call so that it holds the module's current bindings of the deciders."""
-    table = {"D2": holds_d2, "S7": holds_s7, "S7_0": holds_s7_0, "trivial": _holds_trivial}
+    table = {"S7": holds_s7, "S7_0": holds_s7_0, "D2": holds_d2, "trivial": _holds_trivial}
     if name not in table:
         raise ValueError(
             f"no syntactic decider is defined for semiring {name!r}; "

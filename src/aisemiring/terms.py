@@ -239,10 +239,7 @@ def _exact_covers(u: Term) -> frozenset[frozenset[str]]:
                         left[j] -= 1
                     work += len(where[y])
         if work > DELTA_WORK_CAP:
-            raise SizeLimitError(
-                f"delta search capped at {DELTA_WORK_CAP} word visits, "
-                f"term has {len(words)} words"
-            )
+            raise SizeLimitError("DELTA_WORK_CAP", work, DELTA_WORK_CAP, "word visits")
         return gone
 
     def undo(x: str, gone: list[str]) -> None:

@@ -28,7 +28,9 @@ from .terms import (
     is_linear,
 )
 
-ORACLE_ASSIGNMENT_LIMIT = 100_000
+# The most variables the oracle fact takes unless forced: S7_0's four
+# elements give at most 4^8 = 65,536 assignments, witnesses n <= 3.
+ORACLE_VARIABLE_LIMIT = 8
 
 
 class WitnessPair(Record):
@@ -107,9 +109,10 @@ def check_witness_facts(pair: WitnessPair, force_oracle: bool = False) -> Witnes
     Contents of u and q coincide, delta_sets(u) is empty, the graph of u
     is an odd cycle of full length, and u ≈ u+q holds in the 4-element
     zero-adjoined semiring, by the syntactic criterion always and by the
-    brute-force oracle whenever 4^(2n+1) stays within ORACLE_ASSIGNMENT_LIMIT
-    (force_oracle runs it regardless, within the oracle's node budget). A
-    skipped oracle is reported as such without blocking the others.
+    brute-force oracle whenever the 2n+1 variables stay within
+    ORACLE_VARIABLE_LIMIT (force_oracle runs it regardless, within the
+    oracle's node budget). A skipped oracle is reported as such, with the
+    limit that stopped it, without blocking the others.
     """
     u, q, n = pair.u, pair.q, pair.n
     checks: list[FactCheck] = []
@@ -142,26 +145,21 @@ def check_witness_facts(pair: WitnessPair, force_oracle: bool = False) -> Witnes
     syn = holds_s7_0(ident)
     checks.append(FactCheck("syntactic", syn.holds, syn.reason or "criterion satisfied"))
 
-    if force_oracle or 4 ** (2 * n + 1) <= ORACLE_ASSIGNMENT_LIMIT:
-        try:
-            oracle = holds_bruteforce(builtin("S7_0"), ident)
-            checks.append(
-                FactCheck(
-                    "oracle",
-                    oracle.holds,
-                    oracle.reason or f"{oracle.stats['nodes']} nodes visited",
-                )
+    try:
+        if not force_oracle and 2 * n + 1 > ORACLE_VARIABLE_LIMIT:
+            raise SizeLimitError(
+                "ORACLE_VARIABLE_LIMIT", 2 * n + 1, ORACLE_VARIABLE_LIMIT, "variables"
             )
-        except SizeLimitError as exc:
-            checks.append(FactCheck("oracle", None, str(exc)))
-    else:
+        oracle = holds_bruteforce(builtin("S7_0"), ident)
         checks.append(
             FactCheck(
                 "oracle",
-                None,
-                f"4^{2 * n + 1} assignments exceed the limit {ORACLE_ASSIGNMENT_LIMIT}",
+                oracle.holds,
+                oracle.reason or f"{oracle.stats['nodes']} nodes visited",
             )
         )
+    except SizeLimitError as exc:
+        checks.append(FactCheck("oracle", None, str(exc)))
 
     return WitnessReport(n=n, checks=tuple(checks))
 

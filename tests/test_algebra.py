@@ -226,7 +226,7 @@ class TestIsomorphism:
         table = tuple(tuple(max(i, j) for j in range(n)) for i in range(n))
         chain = validate_ai_semiring([f"c{i}" for i in range(n)], table, table)
         copy = FiniteSemiring(tuple(f"d{i}" for i in range(n)), table, table)
-        message = f"^isomorphism search capped at carrier size {ISO_CARRIER_CAP}, got {n}$"
+        message = f"^capped by ISO_CARRIER_CAP: {n} elements, limit {ISO_CARRIER_CAP}$"
         with pytest.raises(SizeLimitError, match=message):
             find_isomorphism(chain, copy)
         with pytest.raises(SizeLimitError, match=message):

@@ -30,7 +30,7 @@ from aisemiring import (
     validate_ai_semiring,
 )
 from aisemiring.deciders import _Search, _search_order, _word_plan
-from aisemiring.terms import fold_words
+from aisemiring.terms import DELTA_WORK_CAP, fold_words
 
 S7 = builtin("S7")
 S7_0 = builtin("S7_0")
@@ -125,9 +125,11 @@ class TestBruteForce:
         monkeypatch.setattr("aisemiring.deciders.ORACLE_NODE_BUDGET", nodes)
         assert holds_bruteforce(S7_0, ident).holds
         monkeypatch.setattr("aisemiring.deciders.ORACLE_NODE_BUDGET", 50)
-        message = r"^oracle search capped .*: 51 nodes visited, budget 50$"
-        with pytest.raises(SizeLimitError, match=message):
+        with pytest.raises(SizeLimitError) as caught:
             holds_bruteforce(S7_0, ident)
+        exc = caught.value
+        assert (exc.guard, exc.done, exc.limit) == ("ORACLE_NODE_BUDGET", 51, 50)
+        assert str(exc) == "capped by ORACLE_NODE_BUDGET: 51 nodes visited, limit 50"
 
     def test_stats(self):
         v = holds_bruteforce(S7_0, SQUARE_PADDING)
@@ -580,8 +582,11 @@ class TestShortcut:
         # the cap, one on the 15 edges does not, and both have 2^15 members
         edges = Term([(f"a{i}", f"b{i}") for i in range(15)])
         both = Term(edges.words + tuple((y, x) for x, y in edges.words))
-        with pytest.raises(SizeLimitError, match="cap"):
+        with pytest.raises(SizeLimitError) as caught:
             delta_sets(Term(both.words))
+        assert caught.value.guard == "DELTA_WORK_CAP"
+        assert caught.value.limit == DELTA_WORK_CAP
+        assert caught.value.done > caught.value.limit
         assert holds_s7(Identity(edges, both)).holds
         assert holds_s7(Identity(both, edges)).holds
         assert len(delta_sets(edges)) == 2**15

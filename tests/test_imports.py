@@ -1,10 +1,12 @@
 """What a process imports: a check loads only the modules checking needs,
 and the package's lazy exports resolve on first use."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import aisemiring
+from aisemiring import SizeLimitError
 
 SRC = str(Path(aisemiring.__file__).resolve().parents[1])
 
@@ -158,6 +161,41 @@ def test_every_traced_function_exists():
         fn = getattr(module, name, None)
         # builtin is a function behind functools.cache
         assert inspect.isfunction(inspect.unwrap(fn)), f"{layer}.{name}"
+
+
+def test_every_size_limit_names_a_constant_of_its_module():
+    # the message is worded once, in errors.py: a raise site passes the
+    # name of the guard constant it checks and numbers, never text
+    guards = set()
+    for path in sorted(Path(aisemiring.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        constants = {
+            target.id
+            for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if isinstance(target, ast.Name) and target.id.isupper()
+        }
+        for call in ast.walk(tree):
+            if not (isinstance(call, ast.Call) and getattr(call.func, "id", None) == "SizeLimitError"):
+                continue
+            where = f"{path.name}:{call.lineno}"
+            first = call.args[0] if call.args else None
+            assert isinstance(first, ast.Constant) and first.value in constants, where
+            values = [*call.args, *(k.value for k in call.keywords)]
+            assert not any(isinstance(v, ast.JoinedStr) for v in values), where
+            guards.add(first.value)
+    assert guards == {
+        "ORACLE_NODE_BUDGET", "DELTA_WORK_CAP", "ISO_CARRIER_CAP", "ORACLE_VARIABLE_LIMIT"
+    }
+
+
+def test_size_limit_error_pickles_with_its_fields():
+    error = SizeLimitError("DELTA_WORK_CAP", 250_002, 250_000, "word visits")
+    exc = pickle.loads(pickle.dumps(error))
+    assert (exc.guard, exc.done, exc.limit, exc.counted) == (
+        "DELTA_WORK_CAP", 250_002, 250_000, "word visits"
+    )
+    assert str(exc) == "capped by DELTA_WORK_CAP: 250002 word visits, limit 250000"
 
 
 def test_lazy_exports_listed_before_their_modules_load():

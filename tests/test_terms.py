@@ -22,7 +22,7 @@ from aisemiring import (
     substitute,
 )
 from aisemiring.deciders import _unmet
-from aisemiring.terms import image_words
+from aisemiring.terms import DELTA_WORK_CAP, image_words
 
 VARS = ("x", "y", "z")
 
@@ -183,8 +183,11 @@ class TestDeltaSets:
     def test_work_bound(self):
         # 20 disjoint edges have 2^20 delta sets, too many to list
         u = Term([(f"a{i}", f"b{i}") for i in range(20)])
-        with pytest.raises(SizeLimitError, match="cap"):
+        with pytest.raises(SizeLimitError) as caught:
             delta_sets(u)
+        assert caught.value.guard == "DELTA_WORK_CAP"
+        assert caught.value.limit == DELTA_WORK_CAP
+        assert caught.value.done > caught.value.limit
 
     # the reference tries up to 4^6 picks, so no per-example deadline
     @settings(max_examples=300, deadline=None)

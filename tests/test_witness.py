@@ -75,7 +75,7 @@ class TestWitnessFacts:
         report = check_witness_facts(make_witness(4))
         oracle = report.check("oracle")
         assert oracle.passed is None
-        assert oracle.note == "4^9 assignments exceed the limit 100000"
+        assert oracle.note == "capped by ORACLE_VARIABLE_LIMIT: 9 variables, limit 8"
         assert report.ok  # a skip does not fail the report
 
     def test_largest_witness(self):
@@ -83,8 +83,10 @@ class TestWitnessFacts:
         assert report.ok
         for name in ("contents-equal", "delta-empty", "odd-cycle", "syntactic"):
             assert report.check(name).passed is True, name
-        # the oracle note prints the power: 4^9999 has 6,020 digits
-        assert report.check("oracle").note.startswith("4^9999 ")
+        # the oracle note counts variables: 4^9999 assignments would have 6,020 digits
+        assert report.check("oracle").note == (
+            "capped by ORACLE_VARIABLE_LIMIT: 9999 variables, limit 8"
+        )
 
     def test_forced_oracle(self):
         report = check_witness_facts(make_witness(4), force_oracle=True)
@@ -115,7 +117,7 @@ class TestWitnessFacts:
             ("delta-empty", True, "delta family has 0 members"),
             ("odd-cycle", True, "odd cycle of length 25, expected 25"),
             ("syntactic", True, "criterion satisfied"),
-            ("oracle", None, "4^25 assignments exceed the limit 100000"),
+            ("oracle", None, "capped by ORACLE_VARIABLE_LIMIT: 25 variables, limit 8"),
         ]
 
 
