@@ -8,7 +8,9 @@ derivation calculus and the odd-cycle witness family on top.
 The derivation, graphs and witness modules are in sys.modules from the
 start, but as importlib's lazy modules: their code runs on the first
 attribute read. The names exported from them resolve on first use (PEP
-562). So checking an identity runs none of them and imports no json.
+562). So checking an identity runs none of them and imports no json:
+semiring, axiom and chain files are decoded by json's C scanner, and
+only a malformed file loads json, to word its error.
 """
 
 import sys as _sys

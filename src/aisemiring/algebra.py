@@ -316,10 +316,46 @@ def semiring_to_json(s: FiniteSemiring) -> str:
     return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
 
 
+try:
+    # the C scanner json.loads runs, without importing json (its decoder and
+    # scanner compile regexes on import)
+    from _json import make_scanner
+except ImportError:
+    _scan_once = None
+else:
+
+    class _DefaultDecoder:
+        """The context the scanner reads: that of json's default decoder."""
+
+        strict = True
+        object_hook = object_pairs_hook = None
+        parse_float = float
+        parse_int = int
+        parse_constant = {
+            "NaN": float("nan"), "Infinity": float("inf"), "-Infinity": float("-inf")
+        }.__getitem__
+
+    _scan_once = make_scanner(_DefaultDecoder)
+
+_JSON_SPACE = " \t\n\r"
+
+
 def json_document(text: str):
     """json.loads(text), the one reader of the semiring, axioms and chain
     files: malformed text, and nesting too deep for json's recursive decoder,
-    raise ValueError."""
+    raise ValueError. Well-formed text is decoded by json's C scanner alone;
+    only a malformed file loads json, to word its error."""
+    if _scan_once is not None:
+        start = len(text) - len(text.lstrip(_JSON_SPACE))
+        try:
+            value, end = _scan_once(text, start)
+        # SystemError: Python 3.11's scanner raises its error type only when
+        # json.decoder is already in sys.modules
+        except (ValueError, StopIteration, RecursionError, SystemError):
+            pass
+        else:
+            if end == len(text.rstrip(_JSON_SPACE)):
+                return value
     import json
 
     try:

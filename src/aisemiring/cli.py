@@ -13,9 +13,10 @@ imported only for the argv _exact_args refuses.
 
 Modules that only some commands call are imported inside those commands:
 derivation by the derive commands, witness by witness and axiom-check. So
-a check, delta, validate or crossval process on a builtin semiring runs
-neither (the package holds them as lazy modules), nor imports json,
-argparse or gettext: --json output is laid out here.
+a check, delta, validate or crossval process runs neither (the package
+holds them as lazy modules), nor imports argparse or gettext, nor json:
+--json output is laid out here, and well-formed files are decoded
+without it (algebra.json_document).
 """
 
 from __future__ import annotations

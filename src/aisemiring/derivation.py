@@ -13,7 +13,6 @@ DerivationStep objects are built only for the returned chain.
 from __future__ import annotations
 
 import itertools
-import json
 from collections import Counter
 from typing import Iterable, Iterator, Mapping
 
@@ -33,18 +32,25 @@ IMAGE_POOL_CAP = 5_000
 
 
 class AxiomSet:
-    """Named identities, unique names, one shared commutativity mode."""
+    """Named identities, unique names, one shared commutativity mode: the
+    one given, else the items', else False (an empty set keeps a given
+    mode)."""
 
-    def __init__(self, axioms: Iterable[tuple[str, Identity]] = ()):
+    def __init__(
+        self, axioms: Iterable[tuple[str, Identity]] = (), commutative: bool | None = None
+    ):
         items = tuple(axioms)
         names = [name for name, _ in items]
         if len(set(names)) != len(names):
             raise ValueError("axiom names must be unique")
         modes = {ident.commutative for _, ident in items}
+        if commutative is not None:
+            modes.add(commutative)
         if len(modes) > 1:
             raise ValueError("axioms must share one commutativity mode")
         self._items = items
         self._by_name = dict(items)
+        self._commutative = modes.pop() if modes else False
 
     def get(self, name: str) -> Identity:
         try:
@@ -54,7 +60,7 @@ class AxiomSet:
 
     @property
     def commutative(self) -> bool:
-        return self._items[0][1].commutative if self._items else False
+        return self._commutative
 
     def __iter__(self) -> Iterator[tuple[str, Identity]]:
         return iter(self._items)
@@ -481,6 +487,8 @@ def search_derivation(
 
 
 def axioms_to_json(sigma: AxiomSet) -> str:
+    import json
+
     doc = {
         "commutative": sigma.commutative,
         "axioms": [
@@ -512,7 +520,7 @@ def axioms_from_json(text: str) -> AxiomSet:
         ):
             raise ValueError('each axiom needs string "name" and "identity" fields')
         axioms.append((entry["name"], parse_identity(entry["identity"], commutative)))
-    return AxiomSet(axioms)
+    return AxiomSet(axioms, commutative)
 
 
 def _term_or_none(value, commutative: bool) -> Term | None:

@@ -1,7 +1,8 @@
 import itertools
+import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aisemiring import (
@@ -22,7 +23,7 @@ from aisemiring import (
     validate_ai_semiring,
     validate_congruence,
 )
-from aisemiring.algebra import ISO_CARRIER_CAP
+from aisemiring.algebra import ISO_CARRIER_CAP, json_document
 
 
 def named_table(s, table):
@@ -281,6 +282,105 @@ class TestJsonFormat:
         )
         out = semiring_from_json(text)
         assert isinstance(out, AxiomViolation)
+
+
+def _decoded(read, text: str):
+    """("value", repr of the value) or ("error", message); the repr tells
+    1 from 1.0 and True, and NaN from any other float, as == does not."""
+    try:
+        return "value", repr(read(text))
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def _json_loads(text: str):
+    """json.loads, with its errors worded as json_document's contract says."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"not valid JSON: {exc}") from None
+
+
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(10**30), max_value=10**30)
+    | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+_SPACE = st.text(" \t\n\r", max_size=3)
+
+
+@st.composite
+def _json_texts(draw):
+    """A document laid out with random indent and whitespace, often mutated:
+    cut short, a character put in, or data added after it."""
+    text = json.dumps(
+        draw(_JSON_VALUES),
+        indent=draw(st.sampled_from([None, 0, 2, "\t", " \r\n"])),
+        ensure_ascii=draw(st.booleans()),
+    )
+    text = draw(_SPACE) + text + draw(_SPACE)
+    mutation = draw(st.sampled_from(["none", "cut", "insert", "trail"]))
+    if mutation == "cut":
+        text = text[: draw(st.integers(0, len(text)))]
+    elif mutation == "insert":
+        at = draw(st.integers(0, len(text)))
+        char = draw(st.sampled_from(list('{}[],:"\\0-.eE+ \t\n\f\xa0\ufeffNIa\x00')))
+        text = text[:at] + char + text[at:]
+    elif mutation == "trail":
+        text += draw(st.sampled_from(["x", "1", "[]", "\f", "\xa0", ",", " }"]))
+    return text
+
+
+class TestJsonDocument:
+    """json_document decodes well-formed text without json; whatever it
+    reads, it gives what json.loads gives, or the same error text."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(_json_texts())
+    def test_matches_json_loads(self, text):
+        assert _decoded(json_document, text) == _decoded(_json_loads, text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "\ufeff[1]",
+            "\ufeff",
+            ' [NaN, Infinity, -Infinity, -0.0, 1e400, "NaN"] ',
+            "-NaN",
+            "9" * 4_301,
+            "[" + "1" * 5_000 + "]",
+            "[" * 100_000,
+            '{"a": ' * 100_000,
+            "\f[1]",
+            "\xa0[1]",
+            "[1]\f",
+            "[1]\xa0",
+            "",
+            " \t\n\r",
+            '{"a": 1, "a": 2}',
+            '"\\ud800"',
+            '"tab\there"',
+        ],
+    )
+    def test_special_cases(self, text):
+        assert _decoded(json_document, text) == _decoded(_json_loads, text)
+
+    def test_errors_are_worded_by_json(self):
+        with pytest.raises(ValueError) as info:
+            json_document("\ufeff[1]")
+        assert str(info.value) == (
+            "not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+            "line 1 column 1 (char 0)"
+        )
+        with pytest.raises(ValueError, match="^not valid JSON: Extra data: line 1 column 5"):
+            json_document("[1] x")
+        with pytest.raises(ValueError, match="^not valid JSON: Exceeds the limit"):
+            json_document("9" * 4_301)
 
 
 def test_validate_scans_all_triples():

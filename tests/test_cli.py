@@ -928,6 +928,17 @@ class TestDerive:
         assert code == 1
         assert "rejected at index 1" in out
 
+    @pytest.mark.parametrize(
+        "axioms", [[], [{"name": "sq", "identity": "x == x + x*x"}]]
+    )
+    def test_commutative_flag_holds_with_or_without_axioms(self, capsys, tmp_path, axioms):
+        path = tmp_path / "axioms.json"
+        path.write_text(json.dumps({"commutative": True, "axioms": axioms}), encoding="utf-8")
+        code, out, _ = run(
+            capsys, "derive", "search", "--axioms", str(path), "--goal", "x*y == y*x"
+        )
+        assert (code, out) == (0, "found: 0 step(s)\nT1 = x*y\n")
+
     def test_missing_file(self, capsys, axioms_file):
         code, _, err = run(
             capsys,

@@ -549,6 +549,18 @@ class TestSerialization:
         assert sigma.commutative
         assert sigma.get("c").is_trivial()
 
+    def test_empty_commutative_set_keeps_its_mode(self):
+        for commutative in (False, True):
+            sigma = AxiomSet([], commutative=commutative)
+            assert sigma.commutative is commutative
+            back = axioms_from_json(axioms_to_json(sigma))
+            assert (back.commutative, len(back)) == (commutative, 0)
+        assert not AxiomSet().commutative
+        one = [("c", parse_identity("x*y == y*x", commutative=True))]
+        assert AxiomSet(one).commutative
+        with pytest.raises(ValueError, match="mode"):
+            AxiomSet(one, commutative=False)
+
     def test_malformed_documents(self):
         for bad in (
             "[]",

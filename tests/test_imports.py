@@ -5,6 +5,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import json
 import os
 import pickle
 import subprocess
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import aisemiring
-from aisemiring import SizeLimitError
+from aisemiring import SizeLimitError, builtin, parse_identity, semiring_to_json
 
 SRC = str(Path(aisemiring.__file__).resolve().parents[1])
 
@@ -122,6 +123,62 @@ def test_derive_search_loads_derivation_and_witness_loads_witness_and_graphs(tmp
     assert codes == [0]
     assert {"aisemiring.witness", "aisemiring.graphs"} <= loaded
     assert not loaded & {"aisemiring.derivation", "argparse", "gettext"}
+
+
+JSON_MODULES = {"json", "json.decoder", "json.scanner", "json.encoder"}
+
+
+def test_well_formed_files_are_read_without_json(tmp_path):
+    # json's C scanner decodes them; json itself compiles regexes on import
+    from aisemiring.derivation import AxiomSet, chain_to_dict, search_derivation
+
+    semiring = tmp_path / "s7_0.json"
+    semiring.write_text(semiring_to_json(builtin("S7_0")), encoding="utf-8")
+    axioms = tmp_path / "axioms.json"
+    axioms.write_text(
+        '{"commutative": false, "axioms": [{"name": "sq", "identity": "x == x + x*x"}]}',
+        encoding="utf-8",
+    )
+    goal = "x*y == x*y + x*y*x*y"
+    sigma = AxiomSet([("sq", parse_identity("x == x + x*x"))])
+    chain = search_derivation(sigma, parse_identity(goal)).chain
+    (tmp_path / "chain.json").write_text(
+        "\n" + json.dumps(chain_to_dict(chain), indent="\t") + "\r\n", encoding="utf-8"
+    )
+    codes, loaded = _run_commands(
+        ["check", "--semiring", str(semiring), "--method", "oracle",
+         "--identity", "x^2+y == x^2+y+y^2"],
+        ["check", "--semiring", str(semiring), "--method", "oracle", "--json",
+         "--identity", "x + y == y + x"],
+        ["validate", "--semiring", str(semiring), "--json"],
+        ["derive", "search", "--axioms", str(axioms), "--goal", goal],
+        ["derive", "verify", "--axioms", str(axioms), "--chain", str(tmp_path / "chain.json")],
+    )
+    assert codes == [1, 0, 0, 0, 0]
+    assert not loaded & JSON_MODULES
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"elements": ["a"]', '["tab\there"]', "\ufeff{}", "{} x", "", "9" * 4_301, "[" * 100_000],
+    ids=["truncated", "control-character", "bom", "extra-data", "empty", "huge-int", "deep"],
+)
+def test_only_a_malformed_file_loads_json_to_word_its_error(tmp_path, text):
+    junk = tmp_path / "junk.json"
+    junk.write_text(text, encoding="utf-8")
+    codes, loaded = _run_commands(["validate", "--semiring", str(junk)])
+    assert codes == [2]
+    assert {"json", "json.decoder"} <= loaded
+    try:
+        json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        message = f"error: not valid JSON: {exc}\n"
+    done = subprocess.run(
+        [sys.executable, "-m", "aisemiring", "validate", "--semiring", str(junk)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", message)
 
 
 def test_argv_the_table_reader_refuses_loads_argparse():

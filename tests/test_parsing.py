@@ -14,6 +14,7 @@ from aisemiring import (
     parse_term,
     parse_word,
 )
+from aisemiring import parsing
 from aisemiring.parsing import MAX_WORD_LENGTH
 from aisemiring.terms import Word
 
@@ -318,3 +319,14 @@ class TestAgainstReference:
                 parse_identity(text)
             assert str(exc.value) == message
         assert time.perf_counter() - start < 0.5
+
+
+# the one-pass scanner's pattern before "≈" left the character class, kept
+# as the reference for the one in parsing
+_CLASS_TOKEN_RE = re.compile(r"\s*([A-Za-z][A-Za-z0-9_]*|\d+|==|[≈+*^]|\S)")
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.text(alphabet="xyZ09_=≈+*^ \t\n\x1c≠∗é٣", max_size=20))
+def test_scanner_tokens_match_the_class_pattern(text):
+    assert parsing._TOKEN_RE.findall(text) == _CLASS_TOKEN_RE.findall(text)
