@@ -205,32 +205,6 @@ def _search_order(words: list[tuple[str, ...]], commutative: bool) -> list[str]:
     return order
 
 
-def _first_difference(closing, left: int, right: int, d: int, values: range, mem, add, mul):
-    """The first of the values of variable d, the last one, where the
-    sides differ, with the values of the sides there, or None when they
-    agree at every value. left and right are the running sums handed down,
-    add the addition table with the empty sum (see _Search); closing holds
-    the entries of the words closing at d, each joining the lhs sum
-    (target -1), the rhs sum (-2) or both (-3)."""
-    base_lhs, base_rhs = left, right
-    for e in values:
-        mem[d] = e
-        left, right = base_lhs, base_rhs
-        for target, first, rest in closing:
-            v = mem[first]
-            for t in rest:
-                v = mul[v][mem[t]]
-            if target == -1:
-                left = add[left][v]
-            elif target == -2:
-                right = add[right][v]
-            else:
-                left, right = add[left][v], add[right][v]
-        if left != right:
-            return e, left, right
-    return None
-
-
 def _live_getters(word_steps: list[tuple], k: int) -> list:
     """Per depth, the getter of the memory indices of the live runs, those
     of the words with letters assigned and unassigned, or None if none is
@@ -273,15 +247,16 @@ class _Search:
     u ≈ u+q, is planned and multiplied out once: its run products are the
     same for either side, so a second copy would add nothing to the live
     state. mem holds the value of each variable, then the cells of the
-    words. entries[d] holds (target, first, rest) for each product made
-    at depth d, of mem at the indices first and rest: a run, stored in
-    mem[target], or a whole word, joining the running sum of the lhs
-    (target -1), of the rhs (-2) or of both (-3). A word with the last
-    variable closes there, so entries at the last depth are whole words
-    only. A running sum over no word yet is the index n, one past the
-    elements, whose row in the addition table add (the semiring's
-    add_with_empty) gives each element back, so a word joins a sum by one
-    lookup whether or not it is the first.
+    words. Each product is of mem at the indices first and rest: runs[d]
+    holds (cell, first, rest) for each run made at depth d, stored in
+    mem[cell], and closing[d] holds (target, first, rest) for each word
+    closing at depth d, joining the running sum of the lhs (target -1),
+    of the rhs (-2) or of both (-3). A word with the last variable closes
+    there, so no run is made at the last depth. A running sum over no
+    word yet is the index n, one past the elements, whose row in the
+    addition table add (the semiring's add_with_empty) gives each element
+    back, so a word joins a sum by one lookup whether or not it is the
+    first.
     """
 
     def __init__(self, s: FiniteSemiring, ident: Identity, order: list[str]):
@@ -297,18 +272,19 @@ class _Search:
                 coded = tuple(sorted(map(index, w))) if ident.commutative else tuple(map(index, w))
                 targets[coded] = targets.get(coded, 0) + target
         mem = [0] * k
-        entries: list[list] = [[] for _ in order]
+        runs: list[list] = [[] for _ in order]
+        closing: list[list] = [[] for _ in order]
         word_steps = []
         for w, target in targets.items():
             size, steps, last, first, rest = _word_plan(w, len(mem))
             mem += [-1] * size
             for d, made, _, _ in steps:
-                entries[d] += made
-            entries[last].append((target, first, rest))
+                runs[d] += made
+            closing[last].append((target, first, rest))
             word_steps.append(steps)
         n = s.size
         self.s, self.k, self.top, self.add = s, k, s.additive_top, s.add_with_empty
-        self.word_steps, self.mem, self.entries = word_steps, mem, entries
+        self.word_steps, self.mem, self.runs, self.closing = word_steps, mem, runs, closing
         self.held = None  # per depth, the getter of the live run products, on first need
         self.lo, self.hi = [0] * k, [n - 1] * k
         self.cleared: dict[int, set] = {}  # per depth, the keys of exhausted subtrees
@@ -334,11 +310,12 @@ class _Search:
     def first_leaf(self):
         """The first falsifying leaf within the bounds: the tuple of the
         values and the values of the two sides there; None if every leaf
-        within the bounds satisfies the identity. At each depth the
-        entries store run products and fold each closing word into the lhs
-        sum, the rhs sum or both (targets -1, -2, -3); both sums start at
-        the empty sum, index n, whose row in the addition table gives each
-        element back. Two kinds of subtree are skipped:
+        within the bounds satisfies the identity. Every node, inner or
+        leaf, stores its depth's run products and folds each word closing
+        there into the lhs sum, the rhs sum or both (targets -1, -2, -3);
+        both sums start at the empty sum, index n, whose row in the
+        addition table gives each element back. A leaf falsifies when the
+        sums differ. Two kinds of subtree are skipped:
         - where both running sums have reached the additive top, the sum
           of all elements: the top absorbs every element, so both sides
           evaluate to it at every leaf below;
@@ -351,11 +328,11 @@ class _Search:
           elimination: a unifying framework for reasoning", AI 113, 1999).
           Nodes whose children are leaves are not memoised: their leaves
           cost about what a key does.
-        Neither skip passes a falsifying leaf. Past ORACLE_NODE_BUDGET
-        nodes visited (internal ones and leaves, over all runs) it raises
-        SizeLimitError.
+        Neither skip passes a falsifying leaf. At the node past
+        ORACLE_NODE_BUDGET (internal ones and leaves, over all runs) it
+        raises SizeLimitError.
         """
-        mem, entries, top, cleared = self.mem, self.entries, self.top, self.cleared
+        mem, runs, closing, top, cleared = self.mem, self.runs, self.closing, self.top, self.cleared
         since_bound = self.since_bound
         lo, hi = self.lo, self.hi
         add, mul = self.add, self.s.mul
@@ -370,41 +347,37 @@ class _Search:
         rhs_sums = [self.s.size] * k
         d = 0
         while True:
-            if d < last:
-                nodes += 1
-                if nodes > budget:
-                    raise SizeLimitError("ORACLE_NODE_BUDGET", nodes, budget, "nodes visited")
-                left, right = lhs_sums[d], rhs_sums[d]
-                for target, first, rest in entries[d]:
-                    v = mem[first]
-                    for t in rest:
-                        v = mul[v][mem[t]]
-                    if target >= 0:
-                        mem[target] = v
-                    elif target == -1:
-                        left = add[left][v]
-                    elif target == -2:
-                        right = add[right][v]
-                    else:
-                        left, right = add[left][v], add[right][v]
-                if left == top and right == top:
-                    top_pruned += 1
-                elif d in cleared and _state(self.held[d], mem, left, right) in cleared[d]:
-                    memo_hits += 1
+            nodes += 1
+            if nodes > budget:
+                raise SizeLimitError("ORACLE_NODE_BUDGET", nodes, budget, "nodes visited")
+            for cell, first, rest in runs[d]:
+                v = mem[first]
+                for t in rest:
+                    v = mul[v][mem[t]]
+                mem[cell] = v
+            left, right = lhs_sums[d], rhs_sums[d]
+            for target, first, rest in closing[d]:
+                v = mem[first]
+                for t in rest:
+                    v = mul[v][mem[t]]
+                if target == -1:
+                    left = add[left][v]
+                elif target == -2:
+                    right = add[right][v]
                 else:
-                    d += 1
-                    lhs_sums[d], rhs_sums[d] = left, right
-                    continue
+                    left, right = add[left][v], add[right][v]
+            if d == last:
+                if left != right:
+                    self.nodes, self.memo_hits, self.top_pruned = nodes, memo_hits, top_pruned
+                    return tuple(mem[:k]), left, right
+            elif left == top and right == top:
+                top_pruned += 1
+            elif d in cleared and _state(self.held[d], mem, left, right) in cleared[d]:
+                memo_hits += 1
             else:
-                values = range(lo[d], hi[d] + 1)
-                found = _first_difference(entries[d], lhs_sums[d], rhs_sums[d], d, values, mem, add, mul)
-                if found:
-                    self.nodes = nodes + found[0] - lo[d] + 1
-                    self.memo_hits, self.top_pruned = memo_hits, top_pruned
-                    return tuple(mem[:k]), found[1], found[2]
-                nodes += len(values)
-                if nodes > budget:
-                    raise SizeLimitError("ORACLE_NODE_BUDGET", nodes, budget, "nodes visited")
+                d += 1
+                lhs_sums[d], rhs_sums[d] = left, right
+                continue
             # next sibling, backing up over exhausted digits; a node all of
             # whose children are exhausted clears its key
             while mem[d] == hi[d]:
@@ -556,9 +529,11 @@ def holds_s7(ident: Identity) -> Verdict:
     return Verdict(True)
 
 
-def holds_s0_lift(base_decider: Callable[[Identity], Verdict], ident: Identity) -> Verdict:
+def holds_s0_lift(base_decider: Callable[[Identity], Verdict] | None, ident: Identity) -> Verdict:
     """Decide an identity in the zero-adjunction S^0 of a semiring S, given
-    a decider for S (for the oracle, partial(holds_bruteforce, S)).
+    a decider for S (for the oracle, partial(holds_bruteforce, S)), or None
+    for the trivial S, which satisfies every identity: then only the cover
+    clause is checked.
 
     Each component u ≈ u+q holds in S^0 exactly when the words of u with
     content inside c(q) are nonempty and, writing D for that subset,
@@ -583,6 +558,8 @@ def holds_s0_lift(base_decider: Callable[[Identity], Verdict], ident: Identity) 
                 ),
                 details={"component": label, "clause": "empty-cover"},
             )
+        if base_decider is None:
+            continue
         # all of base keeps base itself, with what it already worked out
         reduced = base if len(cover) == len(base) else Term(cover, base.commutative)
         sub = base_decider(Identity(reduced, reduced.add_word(q)))
@@ -611,7 +588,7 @@ def holds_d2(ident: Identity) -> Verdict:
     """Decide an identity in the 2-element distributive lattice, the
     zero-adjunction of the trivial semiring: each component u ≈ u+q holds
     exactly when some word of u has content within the content of q."""
-    return holds_s0_lift(_holds_trivial, ident)
+    return holds_s0_lift(None, ident)
 
 
 def holds_s7_0(ident: Identity) -> Verdict:

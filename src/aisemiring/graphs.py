@@ -60,13 +60,15 @@ def term_graph(a: Term, ignore_nonsimple: bool = False) -> TermGraph:
 
 
 def _neighbors(g: TermGraph) -> dict[str, list[str]]:
+    """Each vertex's neighbours in ascending order. With the edges taken as
+    pairs x < y in sorted order, a vertex v meets its smaller neighbours
+    first, in edges (x, v) ordered by x, then its larger ones, in edges
+    (v, y) ordered by y, so no list needs sorting."""
     adj: dict[str, list[str]] = {v: [] for v in sorted(g.vertices)}
     for e in sorted(g.edges, key=sorted):
         x, y = sorted(e)
         adj[x].append(y)
         adj[y].append(x)
-    for v in adj:
-        adj[v].sort()
     return adj
 
 

@@ -53,17 +53,15 @@ class Term(Record):
     __slots__ = ("words", "commutative", "_hash", "_word_set", "_delta_sets")
 
     def __init__(self, words: Iterable[Word], commutative: bool = False):
-        normalized = set()
-        for w in words:
-            w = tuple(w)
-            if not w:
-                raise ValueError("words must be nonempty")
-            if commutative:
-                w = tuple(sorted(w))
-            normalized.add(w)
+        normalized = {tuple(sorted(w)) for w in words} if commutative else set(map(tuple, words))
+        if () in normalized:
+            raise ValueError("words must be nonempty")
         if not normalized:
             raise ValueError("a term must contain at least one word")
-        set_field(self, "words", tuple(sorted(normalized, key=word_key)))
+        # sorted by letters, then stably by length: the word_key order
+        ordered = sorted(normalized)
+        ordered.sort(key=len)
+        set_field(self, "words", tuple(ordered))
         set_field(self, "commutative", commutative)
         set_field(self, "_hash", hash((self.words, commutative)))
 

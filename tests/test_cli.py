@@ -250,7 +250,7 @@ class TestCheck:
         )
         assert code == 2
         assert not out
-        assert err == "error: capped by ORACLE_NODE_BUDGET: 22 nodes visited, limit 20\n"
+        assert err == "error: capped by ORACLE_NODE_BUDGET: 21 nodes visited, limit 20\n"
 
     def test_commutative_identity_over_noncommutative_table(self, capsys, tmp_path):
         # + is max and x*y = x: a valid ai-semiring whose product does not commute

@@ -29,7 +29,7 @@ from aisemiring import (
     random_identity,
     validate_ai_semiring,
 )
-from aisemiring.deciders import _Search, _search_order, _word_plan
+from aisemiring.deciders import _holds_trivial, _Search, _search_order, _word_plan
 from aisemiring.terms import DELTA_WORK_CAP, fold_words
 
 S7 = builtin("S7")
@@ -130,6 +130,16 @@ class TestBruteForce:
         exc = caught.value
         assert (exc.guard, exc.done, exc.limit) == ("ORACLE_NODE_BUDGET", 51, 50)
         assert str(exc) == "capped by ORACLE_NODE_BUDGET: 51 nodes visited, limit 50"
+
+    def test_cap_inside_a_leaf_batch(self, monkeypatch):
+        # leaves are counted one by one like inner nodes: the search stops
+        # at the node past the budget, not after its siblings
+        ident = parse_identity("x*y == y*x")
+        assert holds_bruteforce(S7_0, ident).stats["nodes"] == 20
+        monkeypatch.setattr("aisemiring.deciders.ORACLE_NODE_BUDGET", 3)
+        with pytest.raises(SizeLimitError) as caught:
+            holds_bruteforce(S7_0, ident)
+        assert (caught.value.done, caught.value.limit) == (4, 3)
 
     def test_stats(self):
         v = holds_bruteforce(S7_0, SQUARE_PADDING)
@@ -469,7 +479,7 @@ class TestSharedWords:
         ident = make_witness(n).identity
         order = _search_order([*ident.lhs.words, *ident.rhs.words], True)
         search = _Search(S7_0, ident, order)
-        closing = sorted(target for entries in search.entries for target, _, _ in entries if target < 0)
+        closing = sorted(target for words in search.closing for target, _, _ in words)
         assert closing == [-3] * (2 * n + 1) + [-2]
 
     @settings(max_examples=200, deadline=None)
@@ -503,6 +513,13 @@ class TestLift:
             ident = random_identity(rng, 4, 4, 4)
             lifted = holds_s0_lift(lambda i: Verdict(True), ident)
             assert lifted.holds == holds_bruteforce(D2, ident).holds, str(ident)
+
+    @settings(max_examples=200)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_d2_without_base_matches_lift_of_trivial(self, seed, commutative):
+        # holds_d2 checks the cover clause only, as the trivial base holds
+        ident = random_identity(random.Random(seed), 4, 4, 4, commutative)
+        assert holds_d2(ident).to_dict() == holds_s0_lift(_holds_trivial, ident).to_dict()
 
     def test_empty_cover_reported(self):
         ident = parse_identity("x*x == x*x + y")

@@ -12,6 +12,7 @@ from aisemiring import (
     odd_cycle,
     term_graph,
 )
+from aisemiring.graphs import _neighbors
 
 
 def graph_of(pairs):
@@ -96,6 +97,20 @@ def test_outcome_is_always_checkable(pairs):
         check_coloring_valid(g, out.coloring)
     else:
         check_cycle_valid(g, out.cycle)
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 11), st.integers(0, 11)).filter(lambda p: p[0] != p[1]),
+        max_size=20,
+    )
+)
+def test_neighbors_are_listed_ascending_without_sorting(pairs):
+    g = graph_of([(f"v{a}", f"v{b}") for a, b in pairs])
+    adj = _neighbors(g)
+    assert list(adj) == sorted(g.vertices)
+    for v, near in adj.items():
+        assert near == sorted(u for e in g.edges if v in e for u in e if u != v)
 
 
 def random_connected_bipartite_term(rng: random.Random) -> Term:

@@ -22,7 +22,7 @@ from aisemiring import (
     substitute,
 )
 from aisemiring.deciders import _unmet
-from aisemiring.terms import DELTA_WORK_CAP, image_words
+from aisemiring.terms import DELTA_WORK_CAP, image_words, word_key
 
 VARS = ("x", "y", "z")
 
@@ -38,6 +38,21 @@ def format_word_by_runs(w) -> str:
         k = len(list(run))
         parts.append(letter if k == 1 else f"{letter}^{k}")
     return "*".join(parts)
+
+
+def normalize_by_loop(ws, commutative):
+    """Reference for Term's normaliser: one word at a time, then word_key."""
+    normalized = set()
+    for w in ws:
+        w = tuple(w)
+        if not w:
+            raise ValueError("words must be nonempty")
+        if commutative:
+            w = tuple(sorted(w))
+        normalized.add(w)
+    if not normalized:
+        raise ValueError("a term must contain at least one word")
+    return tuple(sorted(normalized, key=word_key))
 
 
 def terms(alphabet=VARS, commutative=None, max_words=4, max_word_len=4):
@@ -97,6 +112,22 @@ class TestTermBasics:
     def test_format_word_matches_run_reference(self, w):
         # linear words take the no-repeat shortcut, the rest the run loop
         assert format_word(w) == format_word_by_runs(w)
+
+    @given(
+        st.lists(st.lists(st.sampled_from(("x", "y", "z1", "ab")), max_size=4).map(tuple), max_size=6),
+        st.booleans(),
+        st.sampled_from((tuple, list, "".join)),
+    )
+    def test_normalizer_matches_loop_reference(self, ws, commutative, shape):
+        # words given as tuples, lists or strings, empty ones included
+        ws = [shape(w) for w in ws]
+        try:
+            expected = normalize_by_loop(ws, commutative)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{exc}$"):
+                Term(ws, commutative)
+        else:
+            assert Term(ws, commutative).words == expected
 
     def test_identity_modes_must_match(self):
         with pytest.raises(ValueError):
