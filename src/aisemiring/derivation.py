@@ -5,9 +5,10 @@ bounded candidate space breadth first, taking each step from a match of
 a substituted axiom side against factorizations p·m·q of the current
 term's words; it reports absence as exhausted or truncated, and names
 the guards that truncated it. The search works on words: images and
-contexts are words, each rule's substituted sides are built as words when
-the search first reaches the rule, and states are word sets, so Term and
-DerivationStep objects are built only for the returned chain.
+contexts are words, each axiom's substituted sides are built as words
+into one list, read in both directions, when the search first reaches
+the axiom, and states are word sets, so Term and DerivationStep objects
+are built only for the returned chain.
 """
 
 from __future__ import annotations
@@ -232,11 +233,13 @@ class SearchOutcome(Record):
     """status is "found", "absent-exhausted" (candidate space fully
     explored) or "absent-truncated" (some bound cut the enumeration).
 
-    truncated_by maps each guard that fired to how often: a substitution
-    list or the image pool cut, a match whose remainder subsets were not
-    enumerated, a candidate result over max_words or max_word_len (plus
-    one for a goal word longer than max_word_len, which cuts the pool),
-    and for max_depth the terms left unexpanded. matched counts the
+    truncated_by maps each guard that fired to how often: an axiom's
+    substitution list cut (2, once per direction, even when the goal is
+    found among its forward steps), the image pool cut, a match whose
+    remainder subsets were not enumerated, a candidate result over
+    max_words or max_word_len (plus one for a goal word longer than
+    max_word_len, which cuts the pool), and for max_depth the terms left
+    unexpanded. matched counts the
     (substitution, context pair) matches found inside explored terms.
     """
 
@@ -323,9 +326,9 @@ def search_derivation(
     over the contexts, and a substituted axiom side with words w1…wk
     admits exactly the context pairs common to the index entries of
     w1…wk, visited in context order. Images are tuples of words and
-    contexts are pool words; a rule's substituted sides are built as words
-    into one list when the search first reaches the rule, and the states
-    are word sets: Term and DerivationStep objects are built only for the
+    contexts are pool words; each axiom's substituted sides are built as
+    words into one list, read in both directions, when the search first
+    reaches the axiom, and the states are word sets: Term and DerivationStep objects are built only for the
     steps of the returned chain, which re-verifies.
     """
     mode = goal.commutative
@@ -358,34 +361,29 @@ def search_derivation(
     # contexts: none, then the pool words in pool order
     affixes: list[Word] = [()] + pool_words
 
-    def substitutions(src: Term, dst: Term) -> list[list]:
-        """[phi, the words of phi(src) as a Term holds them, None] per
-        substitution; neighbors puts the words of phi(dst) in the None
-        slot when phi first matches."""
-        variables = sorted(content(src) | content(dst))
+    def substitutions(ident: Identity) -> list[tuple]:
+        """(phi, the words of phi(lhs), the words of phi(rhs)) per
+        substitution, each side's words as a Term holds them."""
+        variables = sorted(content(ident.lhs) | content(ident.rhs))
         assignments = itertools.product(images, repeat=len(variables))
         if len(images) ** len(variables) > SUBSTITUTION_CAP:
-            fired["SUBSTITUTION_CAP"] += 1
+            # counted per direction: both read the cut list
+            fired["SUBSTITUTION_CAP"] += 2
             assignments = itertools.islice(assignments, SUBSTITUTION_CAP)
         entries = []
         for picks in assignments:
             phi = dict(zip(variables, picks))
-            words = image_words(phi, src.words)
-            if mode:
-                words = {tuple(sorted(w)) for w in words}
-            entries.append([phi, tuple(sorted(words, key=word_key)), None])
+            sides = [phi]
+            for side in (ident.lhs, ident.rhs):
+                words = image_words(phi, side.words)
+                if mode:
+                    words = {tuple(sorted(w)) for w in words}
+                sides.append(tuple(sorted(words, key=word_key)))
+            entries.append(tuple(sides))
         return entries
 
-    # [name, direction, src, dst, substitutions]: the list is built when
-    # neighbors first reaches the rule
-    rules = [
-        [name, direction, src, dst, None]
-        for name, ident in sigma
-        for direction, src, dst in (
-            (FORWARD, ident.lhs, ident.rhs),
-            (BACKWARD, ident.rhs, ident.lhs),
-        )
-    ]
+    # axiom name to its substitutions, built when neighbors first reaches it
+    tables: dict[str, list[tuple]] = {}
 
     def neighbors(t_words: frozenset[Word]) -> Iterator[tuple[tuple, frozenset[Word]]]:
         """(name, direction, phi, i, j, remainder words) and the result's
@@ -394,49 +392,49 @@ def search_derivation(
         subsets; i and j index affixes."""
         nonlocal matched_count
         index = _factor_index(t_words, mode, pool_index)
-        for rule in rules:
-            name, direction, src, dst, entries = rule
+        for name, ident in sigma:
+            entries = tables.get(name)
             if entries is None:
-                entries = rule[4] = substitutions(src, dst)
-            for entry in entries:
-                phi, src_words, dst_words = entry
-                pairs = index.get(src_words[0])
-                for w in src_words[1:]:
+                entries = tables[name] = substitutions(ident)
+            for direction, src_at, dst_at in ((FORWARD, 1, 2), (BACKWARD, 2, 1)):
+                for entry in entries:
+                    src_words = entry[src_at]
+                    pairs = index.get(src_words[0])
+                    for w in src_words[1:]:
+                        if not pairs:
+                            break
+                        pairs = pairs & index.get(w, set())
                     if not pairs:
-                        break
-                    pairs = pairs & index.get(w, set())
-                if not pairs:
-                    continue
-                if dst_words is None:
-                    dst_words = entry[2] = image_words(phi, dst.words)
-                for i, j in sorted(pairs):
-                    matched_count += 1
-                    before, after = affixes[i], affixes[j]
-                    matched = [before + w + after for w in src_words]
-                    base = [before + w + after for w in dst_words]
-                    if mode:
-                        matched = [tuple(sorted(w)) for w in matched]
-                        base = [tuple(sorted(w)) for w in base]
-                    rest = t_words.difference(matched)
-                    if len(matched) > KEEP_SUBSET_LIMIT:
-                        fired["KEEP_SUBSET_LIMIT"] += 1
-                        keep_space = [()]
-                    else:
-                        ordered = sorted(matched, key=word_key)
-                        keep_space = [
-                            c
-                            for size in range(len(matched) + 1)
-                            for c in itertools.combinations(ordered, size)
-                        ]
-                    for keep in keep_space:
-                        r_words = rest.union(keep)
-                        words = r_words.union(base)
-                        if len(words) > bounds.max_words:
-                            fired["max_words"] += 1
-                        elif any(len(rw) > bounds.max_word_len for rw in words):
-                            fired["max_word_len"] += 1
+                        continue
+                    phi, dst_words = entry[0], entry[dst_at]
+                    for i, j in sorted(pairs):
+                        matched_count += 1
+                        before, after = affixes[i], affixes[j]
+                        matched = [before + w + after for w in src_words]
+                        base = [before + w + after for w in dst_words]
+                        if mode:
+                            matched = [tuple(sorted(w)) for w in matched]
+                            base = [tuple(sorted(w)) for w in base]
+                        rest = t_words.difference(matched)
+                        if len(matched) > KEEP_SUBSET_LIMIT:
+                            fired["KEEP_SUBSET_LIMIT"] += 1
+                            keep_space = [()]
                         else:
-                            yield (name, direction, phi, i, j, r_words), words
+                            ordered = sorted(matched, key=word_key)
+                            keep_space = [
+                                c
+                                for size in range(len(matched) + 1)
+                                for c in itertools.combinations(ordered, size)
+                            ]
+                        for keep in keep_space:
+                            r_words = rest.union(keep)
+                            words = r_words.union(base)
+                            if len(words) > bounds.max_words:
+                                fired["max_words"] += 1
+                            elif any(len(rw) > bounds.max_word_len for rw in words):
+                                fired["max_word_len"] += 1
+                            else:
+                                yield (name, direction, phi, i, j, r_words), words
 
     def outcome(status: str, chain: DerivationChain | None) -> SearchOutcome:
         truncated_by = {g: fired[g] for g in GUARDS if fired[g]}

@@ -649,6 +649,51 @@ class TestExactArgv:
         assert "required: --identity" in done.stderr
 
 
+class TestHashSeedDeterminism:
+    def test_outputs_do_not_depend_on_the_hash_seed(self, tmp_path):
+        # the same verdicts, first witnesses, chains and counts in fresh
+        # processes whose str hashes, and so set orders, differ
+        axioms = tmp_path / "axioms.json"
+        axioms.write_text(
+            json.dumps({"axioms": [
+                {"name": "sq", "identity": "x == x + x*x"},
+                {"name": "comm", "identity": "x*y == y*x"},
+            ]}),
+            encoding="utf-8",
+        )
+        search = ["derive", "search", "--json", "--axioms", str(axioms), "--goal"]
+        commands = [
+            ["check", "--semiring", "S7_0", "--method", "both", "--json",
+             "--identity", "x*y*z + w*y == x*y*z + w*y + y*z*w*x"],
+            ["witness", "--n", "2", "--oracle", "--json"],
+            ["delta", "--term", "x*y + y*z*w + z*x"],
+            search + ["a*b == a*b + b*a*b*a"],
+            search + ["a*b == a*b + a", "--max-depth", "2"],
+            ["crossval", "--semiring", "S7_0", "--samples", "50", "--seed", "3"],
+        ]
+        src = str(Path(aisemiring.__file__).resolve().parents[1])
+
+        def outputs(hash_seed):
+            env = {
+                **os.environ,
+                "PYTHONHASHSEED": hash_seed,
+                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+            }
+            done = [
+                subprocess.run(
+                    [sys.executable, "-m", "aisemiring", *argv],
+                    capture_output=True, text=True, env=env, timeout=60,
+                )
+                for argv in commands
+            ]
+            return [(d.returncode, d.stdout) for d in done]
+
+        first = outputs("0")
+        assert [code for code, _ in first] == [1, 0, 0, 0, 1, 0]
+        assert all(out for _, out in first)
+        assert outputs("1") == first
+
+
 class TestDelta:
     def test_spec_shape(self, capsys):
         code, out, _ = run(capsys, "delta", "--term", "x*y + y*z")

@@ -3,6 +3,7 @@ import json
 import math
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -748,6 +749,35 @@ class TestMatchingSearch:
         goal = parse_identity("a*b*c*d*e*f*g == a*b*c*d*e*f*g + g")
         outcome = search_derivation(sigma, goal, SearchBounds(max_depth=1))
         assert outcome.truncated_by["SUBSTITUTION_CAP"] == 2
+
+    def test_substitution_cap_counts_both_directions_when_found_forward(self):
+        # the goal is a forward step of the cut axiom; both directions read
+        # its one substitution list, so the cut counts 2 although the
+        # backward steps are never reached
+        sigma = AxiomSet([("three", parse_identity("x*y*z == z*y*x"))])
+        goal = parse_identity("a*b*c*d*e*f*g == c*b*a*d*e*f*g")
+        outcome = search_derivation(sigma, goal, SearchBounds(max_depth=1))
+        assert outcome.found
+        assert [s.direction for s in outcome.chain.steps] == ["forward"]
+        assert outcome.truncated_by == {"SUBSTITUTION_CAP": 2}
+
+    def test_one_substitution_list_per_axiom(self):
+        # each substitution's two sides are substituted once, whatever
+        # matches: with max_image_words 1 the images are the p pool words,
+        # so sq (one variable) has p substitutions and comm (two) p**2
+        sigma = AxiomSet(
+            [("sq", parse_identity("x == x + x*x")), ("comm", parse_identity("x*y == y*x"))]
+        )
+        goal = parse_identity("a*b == a*b + b*a*b*a")
+        bounds = SearchBounds(max_depth=3)
+        p = len(_candidate_words(goal, bounds))
+        with mock.patch.object(
+            derivation, "image_words", wraps=derivation.image_words
+        ) as spy:
+            outcome = search_derivation(sigma, goal, bounds)
+        assert (outcome.status, outcome.explored, outcome.matched) == ("found", 4, 53)
+        assert p == 7
+        assert spy.call_count == 2 * (p + p**2)
 
 
 def _random_sigma(data, commutative):
