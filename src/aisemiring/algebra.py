@@ -306,21 +306,22 @@ def builtin(name: str) -> FiniteSemiring:
 
 def semiring_to_json(s: FiniteSemiring) -> str:
     """Canonical JSON text for a semiring; byte-stable for a fixed element order."""
-    import json
-
     doc = {
         "elements": list(s.elements),
         "add": [[s.elements[c] for c in row] for row in s.add],
         "mul": [[s.elements[c] for c in row] for row in s.mul],
     }
-    return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
+    return _json_text(doc) + "\n"
 
 
 try:
-    # the C scanner json.loads runs, without importing json (its decoder and
-    # scanner compile regexes on import)
-    from _json import make_scanner
+    # the C scanner json.loads runs and the C string encoder json.encoder
+    # re-exports, without importing json (its decoder and scanner compile
+    # regexes on import)
+    from _json import encode_basestring, make_scanner
 except ImportError:
+    from json.encoder import encode_basestring
+
     _scan_once = None
 else:
 
@@ -362,6 +363,45 @@ def json_document(text: str):
         return json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise ValueError(f"not valid JSON: {exc}") from None
+
+
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _json_text(value, indent: str = "") -> str:
+    """json.dumps(value, indent=2, ensure_ascii=False), the one writer of
+    --json output and of semiring and axiom files, without the pure-Python
+    encoder that json.dumps falls back on to indent: containers are laid
+    out here, strings and other scalars encoded by json's C code."""
+    if isinstance(value, str):
+        return encode_basestring(value)
+    if value is None or value is True or value is False:
+        return _JSON_CONSTANTS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = []
+        for key, item in value.items():
+            if not isinstance(key, str):
+                if not isinstance(key, (int, float, type(None))):
+                    raise TypeError(
+                        f"keys must be str, int, float, bool or None, not {type(key).__name__}"
+                    )
+                key = _json_text(key)
+            items.append(f"{inner}{encode_basestring(key)}: {_json_text(item, inner)}")
+        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        items = [inner + _json_text(item, inner) for item in value]
+        return "[\n" + ",\n".join(items) + "\n" + indent + "]"
+    from json import dumps
+
+    return dumps(value)
 
 
 def tables_from_json(text: str):

@@ -15,8 +15,8 @@ Modules that only some commands call are imported inside those commands:
 derivation by the derive commands, witness by witness and axiom-check. So
 a check, delta, validate or crossval process runs neither (the package
 holds them as lazy modules), nor imports argparse or gettext, nor json:
---json output is laid out here, and well-formed files are decoded
-without it (algebra.json_document).
+--json output is laid out by algebra._json_text, and well-formed files
+are decoded without it (algebra.json_document).
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .algebra import (
     BUILTIN_NAMES,
     AxiomViolation,
     FiniteSemiring,
+    _json_text,
     builtin,
     semiring_from_json,
 )
@@ -42,13 +43,6 @@ from .deciders import (
 from .errors import SizeLimitError
 from .parsing import parse_identity, parse_term
 from .terms import delta_key, delta_sets, format_delta, format_word
-
-try:
-    # the C string encoder that json.encoder re-exports, without importing
-    # json (its decoder and scanner compile regexes on import)
-    from _json import encode_basestring
-except ImportError:
-    from json.encoder import encode_basestring
 
 
 def _read_text(path: str) -> str:
@@ -81,44 +75,6 @@ def _identity_arg(value: str, commutative: bool):
     if os.path.isfile(value):
         value = _read_text(value).strip()
     return parse_identity(value, commutative)
-
-
-_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
-
-
-def _json_text(value, indent: str = "") -> str:
-    """json.dumps(value, indent=2, ensure_ascii=False), without the
-    pure-Python encoder that json.dumps falls back on to indent: containers
-    are laid out here, strings and other scalars encoded by json's C code."""
-    if isinstance(value, str):
-        return encode_basestring(value)
-    if value is None or value is True or value is False:
-        return _JSON_CONSTANTS[value]
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = indent + "  "
-        items = []
-        for key, item in value.items():
-            if not isinstance(key, str):
-                if not isinstance(key, (int, float, type(None))):
-                    raise TypeError(
-                        f"keys must be str, int, float, bool or None, not {type(key).__name__}"
-                    )
-                key = _json_text(key)
-            items.append(f"{inner}{encode_basestring(key)}: {_json_text(item, inner)}")
-        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = indent + "  "
-        items = [inner + _json_text(item, inner) for item in value]
-        return "[\n" + ",\n".join(items) + "\n" + indent + "]"
-    from json import dumps
-
-    return dumps(value)
 
 
 def _emit(args, lines: list[str], doc: dict) -> None:

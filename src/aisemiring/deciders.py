@@ -634,13 +634,9 @@ def random_identity(
 
 
 class CrossValReport(Record):
-    """Agreement report between a syntactic decider and the oracle. Unlike
-    the other records it is filled in as it runs: mutable and unhashable."""
+    """Agreement report between a syntactic decider and the oracle."""
 
     __slots__ = ("semiring", "samples", "seed", "bounds", "disagreements")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
     def __init__(
         self,
@@ -650,11 +646,11 @@ class CrossValReport(Record):
         bounds: dict,
         disagreements: list[dict] | None = None,
     ):
-        self.semiring = semiring
-        self.samples = samples
-        self.seed = seed
-        self.bounds = bounds
-        self.disagreements = [] if disagreements is None else disagreements
+        set_field(self, "semiring", semiring)
+        set_field(self, "samples", samples)
+        set_field(self, "seed", seed)
+        set_field(self, "bounds", bounds)
+        set_field(self, "disagreements", [] if disagreements is None else disagreements)
 
     @property
     def ok(self) -> bool:
@@ -695,23 +691,13 @@ def cross_validate(
             raise ValueError(f"{name} must be at least 1, got {value}")
     # a str seed maps to the same stream in every process
     rng = random.Random(f"commutative:{seed}" if commutative else seed)
-    report = CrossValReport(
-        semiring=label or repr(s),
-        samples=samples,
-        seed=seed,
-        bounds={
-            "max_vars": max_vars,
-            "max_words": max_words,
-            "max_word_len": max_word_len,
-            "commutative": commutative,
-        },
-    )
+    disagreements = []
     for _ in range(samples):
         ident = random_identity(rng, max_vars, max_words, max_word_len, commutative)
         syn = syntactic(ident)
         oracle = holds_bruteforce(s, ident)
         if syn.holds != oracle.holds:
-            report.disagreements.append(
+            disagreements.append(
                 {
                     "identity": str(ident),
                     "syntactic": syn.holds,
@@ -719,4 +705,10 @@ def cross_validate(
                     "oracle_witness": oracle.witness,
                 }
             )
-    return report
+    bounds = {
+        "max_vars": max_vars,
+        "max_words": max_words,
+        "max_word_len": max_word_len,
+        "commutative": commutative,
+    }
+    return CrossValReport(label or repr(s), samples, seed, bounds, disagreements)

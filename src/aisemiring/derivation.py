@@ -1,14 +1,15 @@
 """Equational derivations: one step rewrites a substituted axiom side
 inside an optional multiplicative context plus an optional additive
-remainder. Chains of steps are verified exactly. Search explores a
-bounded candidate space breadth first, taking each step from a match of
-a substituted axiom side against factorizations p·m·q of the current
-term's words; it reports absence as exhausted or truncated, and names
-the guards that truncated it. The search works on words: images and
-contexts are words, each axiom's substituted sides are built as words
-into one list, read in both directions, when the search first reaches
-the axiom, and states are word sets, so Term and DerivationStep objects
-are built only for the returned chain.
+remainder. Chains of steps are verified exactly.
+
+search_derivation is a breadth-first loop over states that are word
+sets. Its step relation is one object, _StepSpace, built from the axioms,
+the goal and the bounds: the pool of the goal's subwords, the images and
+contexts drawn from it, each axiom's substitution list (built as words
+when the search first reaches the axiom, read in both directions), and
+the counts of the guards that cut the space and of the matches found.
+Absence is reported as exhausted or truncated, naming those guards; Term
+and DerivationStep objects are built only for the returned chain.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import itertools
 from collections import Counter
 from typing import Iterable, Iterator, Mapping
 
-from .algebra import json_document
+from .algebra import _json_text, json_document
 from .parsing import parse_identity, parse_term
 from .records import Record, set_field
 from .terms import Identity, Term, Word, content, image_words, substitute, word_key
@@ -312,63 +313,49 @@ def _factor_index(
     return index
 
 
-def search_derivation(
-    sigma: AxiomSet, goal: Identity, bounds: SearchBounds = SearchBounds()
-) -> SearchOutcome:
-    """Breadth-first search for a chain from goal.lhs to goal.rhs.
+class _StepSpace:
+    """The step relation of one search, built from (sigma, goal, bounds).
 
-    Substitution images are terms of at most max_image_words words drawn
-    from the contiguous subwords of the goal's own words (the pool);
-    contexts are absent or single pool words; remainders keep the
-    unmatched words plus any subset of the matched ones. Neighbours come
-    from matching, not from wrapping every image in every context: each
-    explored term's words are indexed once by their factorizations p·m·q
-    over the contexts, and a substituted axiom side with words w1…wk
-    admits exactly the context pairs common to the index entries of
-    w1…wk, visited in context order. Images are tuples of words and
-    contexts are pool words; each axiom's substituted sides are built as
-    words into one list, read in both directions, when the search first
-    reaches the axiom, and the states are word sets: Term and DerivationStep objects are built only for the
-    steps of the returned chain, which re-verifies.
+    The pool is the goal's contiguous subwords of at most max_word_len
+    letters; images are combinations of at most max_image_words pool
+    words, and contexts are absent or one pool word. Each axiom's
+    substitutions are built into one list, (phi, the words of phi(lhs),
+    the words of phi(rhs)) in Term order, the first time neighbors reaches
+    the axiom, and both directions read it. A step matches a substituted
+    side against the factorizations p·m·q of a state's words, and its
+    remainder keeps the unmatched words plus any subset of the matched
+    ones. fired counts the guards that cut the space and matched the
+    (substitution, context pair) matches.
     """
-    mode = goal.commutative
-    if sigma.commutative != mode and len(sigma) > 0:
-        raise ValueError("axioms and goal must share the commutativity mode")
 
-    start, target = goal.lhs, goal.rhs
-    if start == target:
-        return SearchOutcome("found", DerivationChain(start, (), target), 0, bounds)
+    def __init__(self, sigma: AxiomSet, goal: Identity, bounds: SearchBounds):
+        self.sigma, self.bounds, self.mode = sigma, bounds, goal.commutative
+        self.fired: Counter = Counter()
+        self.matched = 0
+        if max(len(w) for side in (goal.lhs, goal.rhs) for w in side) > bounds.max_word_len:
+            self.fired["max_word_len"] += 1
+        pool = _candidate_words(goal, bounds)
+        self.pool_index = {w: k for k, w in enumerate(pool, 1)}
+        # an image is the tuple of its words, in Term order: pool words are
+        # distinct and in word_key order, and so is each combination of them;
+        # none is larger than the pool
+        sizes = range(1, min(bounds.max_image_words, len(pool)) + 1)
+        combos = itertools.chain.from_iterable(itertools.combinations(pool, k) for k in sizes)
+        # the cap never cuts the single pool words: a pool of IMAGE_POOL_CAP
+        # words or more keeps them all and at most one larger combination
+        self.images = list(itertools.islice(combos, max(IMAGE_POOL_CAP, len(pool) + 1)))
+        if next(combos, None) is not None:
+            self.fired["IMAGE_POOL_CAP"] += 1
+        # contexts: none, then the pool words in pool order
+        self.affixes: list[Word] = [()] + pool
+        self.tables: dict[str, list[tuple]] = {}
 
-    fired: Counter = Counter()
-    matched_count = 0
-    if max(len(w) for side in (start, target) for w in side) > bounds.max_word_len:
-        fired["max_word_len"] += 1
-    pool_words = _candidate_words(goal, bounds)
-    pool_index = {w: k for k, w in enumerate(pool_words, 1)}
-
-    # an image is the tuple of its words, in Term order: pool words are
-    # distinct and in word_key order, and so is each combination of them
-    images: list[tuple[Word, ...]] = [(w,) for w in pool_words]
-    # no combination is larger than the pool
-    for size in range(2, min(bounds.max_image_words, len(pool_words)) + 1):
-        for combo in itertools.combinations(pool_words, size):
-            images.append(combo)
-            if len(images) >= IMAGE_POOL_CAP:
-                fired["IMAGE_POOL_CAP"] += 1
-                break
-        if len(images) >= IMAGE_POOL_CAP:
-            break
-    # contexts: none, then the pool words in pool order
-    affixes: list[Word] = [()] + pool_words
-
-    def substitutions(ident: Identity) -> list[tuple]:
-        """(phi, the words of phi(lhs), the words of phi(rhs)) per
-        substitution, each side's words as a Term holds them."""
+    def _substitutions(self, ident: Identity) -> list[tuple]:
         variables = sorted(content(ident.lhs) | content(ident.rhs))
-        assignments = itertools.product(images, repeat=len(variables))
-        if len(images) ** len(variables) > SUBSTITUTION_CAP:
+        assignments = itertools.product(self.images, repeat=len(variables))
+        if len(self.images) ** len(variables) > SUBSTITUTION_CAP:
             # counted per direction: both read the cut list
-            fired["SUBSTITUTION_CAP"] += 2
+            self.fired["SUBSTITUTION_CAP"] += 2
             assignments = itertools.islice(assignments, SUBSTITUTION_CAP)
         entries = []
         for picks in assignments:
@@ -376,26 +363,24 @@ def search_derivation(
             sides = [phi]
             for side in (ident.lhs, ident.rhs):
                 words = image_words(phi, side.words)
-                if mode:
+                if self.mode:
                     words = {tuple(sorted(w)) for w in words}
                 sides.append(tuple(sorted(words, key=word_key)))
             entries.append(tuple(sides))
         return entries
 
-    # axiom name to its substitutions, built when neighbors first reaches it
-    tables: dict[str, list[tuple]] = {}
-
-    def neighbors(t_words: frozenset[Word]) -> Iterator[tuple[tuple, frozenset[Word]]]:
+    def neighbors(self, t_words: frozenset[Word]) -> Iterator[tuple[tuple, frozenset[Word]]]:
         """(name, direction, phi, i, j, remainder words) and the result's
         words of each step from t_words within the bounds, in the order of
         the axioms, directions, substitutions, context pairs and kept
         subsets; i and j index affixes."""
-        nonlocal matched_count
-        index = _factor_index(t_words, mode, pool_index)
-        for name, ident in sigma:
+        mode, affixes, fired, tables = self.mode, self.affixes, self.fired, self.tables
+        max_words, max_word_len = self.bounds.max_words, self.bounds.max_word_len
+        index = _factor_index(t_words, mode, self.pool_index)
+        for name, ident in self.sigma:
             entries = tables.get(name)
             if entries is None:
-                entries = tables[name] = substitutions(ident)
+                entries = tables[name] = self._substitutions(ident)
             for direction, src_at, dst_at in ((FORWARD, 1, 2), (BACKWARD, 2, 1)):
                 for entry in entries:
                     src_words = entry[src_at]
@@ -408,7 +393,7 @@ def search_derivation(
                         continue
                     phi, dst_words = entry[0], entry[dst_at]
                     for i, j in sorted(pairs):
-                        matched_count += 1
+                        self.matched += 1
                         before, after = affixes[i], affixes[j]
                         matched = [before + w + after for w in src_words]
                         base = [before + w + after for w in dst_words]
@@ -429,34 +414,43 @@ def search_derivation(
                         for keep in keep_space:
                             r_words = rest.union(keep)
                             words = r_words.union(base)
-                            if len(words) > bounds.max_words:
+                            if len(words) > max_words:
                                 fired["max_words"] += 1
-                            elif any(len(rw) > bounds.max_word_len for rw in words):
+                            elif any(len(rw) > max_word_len for rw in words):
                                 fired["max_word_len"] += 1
                             else:
                                 yield (name, direction, phi, i, j, r_words), words
 
-    def outcome(status: str, chain: DerivationChain | None) -> SearchOutcome:
-        truncated_by = {g: fired[g] for g in GUARDS if fired[g]}
-        return SearchOutcome(status, chain, explored, bounds, truncated_by, matched_count)
+    def step(self, move: tuple) -> DerivationStep:
+        """The DerivationStep of a move that neighbors yielded."""
+        name, direction, phi, i, j, r_words = move
+        mode = self.mode
+        step_phi = {x: Term(img, mode) for x, img in phi.items()}
+        p, q = (Term.single(self.affixes[k], mode) if k else None for k in (i, j))
+        remainder = Term(r_words, mode) if r_words else None
+        return DerivationStep(name, direction, step_phi, p, q, remainder)
 
-    def found_chain() -> DerivationChain:
-        steps = []
-        words = target_words
-        while words in parents:
-            words, (name, direction, phi, i, j, r_words) = parents[words]
-            step_phi = {x: Term(img, mode) for x, img in phi.items()}
-            p, q = (Term.single(affixes[k], mode) if k else None for k in (i, j))
-            remainder = Term(r_words, mode) if r_words else None
-            steps.append(DerivationStep(name, direction, step_phi, p, q, remainder))
-        steps.reverse()
-        chain = DerivationChain(start, tuple(steps), target)
-        verdict = verify_chain(chain, sigma)
-        if not verdict.ok:
-            raise RuntimeError(f"search produced an unverifiable chain: {verdict.reason}")
-        return chain
+    def outcome(self, status: str, chain: DerivationChain | None, explored: int) -> SearchOutcome:
+        truncated_by = {g: self.fired[g] for g in GUARDS if self.fired[g]}
+        return SearchOutcome(status, chain, explored, self.bounds, truncated_by, self.matched)
 
-    # states are word sets; each reached one maps to its parent and the step
+
+def search_derivation(
+    sigma: AxiomSet, goal: Identity, bounds: SearchBounds = SearchBounds()
+) -> SearchOutcome:
+    """Breadth-first search for a chain from goal.lhs to goal.rhs. The
+    states are word sets and the steps from each are _StepSpace.neighbors;
+    Term and DerivationStep objects are built only for the steps of the
+    returned chain, which re-verifies."""
+    if sigma.commutative != goal.commutative and len(sigma) > 0:
+        raise ValueError("axioms and goal must share the commutativity mode")
+
+    start, target = goal.lhs, goal.rhs
+    if start == target:
+        return SearchOutcome("found", DerivationChain(start, (), target), 0, bounds)
+
+    space = _StepSpace(sigma, goal, bounds)
+    # each reached state maps to its parent and the move from it
     start_words, target_words = start.word_set(), target.word_set()
     visited = {start_words}
     frontier = [start_words]
@@ -467,33 +461,39 @@ def search_derivation(
         next_frontier: list[frozenset[Word]] = []
         for t_words in frontier:
             explored += 1
-            for move, words in neighbors(t_words):
+            for move, words in space.neighbors(t_words):
                 if words in visited:
                     continue
                 visited.add(words)
                 parents[words] = (t_words, move)
                 if words == target_words:
-                    return outcome("found", found_chain())
+                    steps = []
+                    while words in parents:
+                        words, move = parents[words]
+                        steps.append(space.step(move))
+                    chain = DerivationChain(start, tuple(reversed(steps)), target)
+                    verdict = verify_chain(chain, sigma)
+                    if not verdict.ok:
+                        raise RuntimeError(f"search produced an unverifiable chain: {verdict.reason}")
+                    return space.outcome("found", chain, explored)
                 next_frontier.append(words)
         frontier = next_frontier
         if not frontier:
             break
 
     if frontier:
-        fired["max_depth"] += len(frontier)
-    return outcome("absent-truncated" if fired else "absent-exhausted", None)
+        space.fired["max_depth"] += len(frontier)
+    return space.outcome("absent-truncated" if space.fired else "absent-exhausted", None, explored)
 
 
 def axioms_to_json(sigma: AxiomSet) -> str:
-    import json
-
     doc = {
         "commutative": sigma.commutative,
         "axioms": [
             {"name": name, "identity": str(ident)} for name, ident in sigma
         ],
     }
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    return _json_text(doc) + "\n"
 
 
 def _commutative(doc: dict) -> bool:

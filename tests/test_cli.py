@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 
 import aisemiring
 from aisemiring import builtin, parse_term, semiring_to_json
+from aisemiring.algebra import _json_text
 from aisemiring.cli import (
     COMMANDS,
     _exact_args,
-    _json_text,
     build_parser,
     cmd_axiom_check,
     cmd_check,

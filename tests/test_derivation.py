@@ -761,6 +761,18 @@ class TestMatchingSearch:
         assert [s.direction for s in outcome.chain.steps] == ["forward"]
         assert outcome.truncated_by == {"SUBSTITUTION_CAP": 2}
 
+    def test_image_pool_cap_is_counted(self):
+        # the goal word's 36 subwords make 36 + 630 images of at most two
+        # words, and 7,140 more of three, past IMAGE_POOL_CAP
+        sigma = AxiomSet([("sq", parse_identity("x == x + x*x"))])
+        goal = parse_identity("a*b*c*d*e*f*g*h == a*b*c*d*e*f*g*h + a")
+        outcome = search_derivation(sigma, goal, SearchBounds(max_depth=1, max_image_words=3))
+        assert outcome.status == "absent-truncated"
+        assert outcome.truncated_by == {"IMAGE_POOL_CAP": 1, "max_word_len": 72}
+        assert (outcome.explored, outcome.matched) == (1, 36)
+        below = search_derivation(sigma, goal, SearchBounds(max_depth=1, max_image_words=2))
+        assert below.truncated_by == {"max_word_len": 72}
+
     def test_one_substitution_list_per_axiom(self):
         # each substitution's two sides are substituted once, whatever
         # matches: with max_image_words 1 the images are the p pool words,

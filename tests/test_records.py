@@ -261,12 +261,6 @@ class TestRecordContract:
 
     def test_assignment_and_deletion(self, cls, names, values, other, text, hashable):
         a = cls(*values)
-        if cls is CrossValReport:  # the report is filled in as it runs
-            a.seed = 9
-            a.disagreements = []
-            a.disagreements.append({})
-            assert a.seed == 9 and a.disagreements == [{}]
-            return
         for name in names:
             with pytest.raises(AttributeError):
                 setattr(a, name, None)
