@@ -30,7 +30,6 @@ BACKWARD = "backward"
 # truncated rather than exhausted.
 SUBSTITUTION_CAP = 20_000
 KEEP_SUBSET_LIMIT = 4
-IMAGE_POOL_CAP = 5_000
 
 
 class AxiomSet:
@@ -223,7 +222,6 @@ class SearchBounds(Record):
 GUARDS = (
     "SUBSTITUTION_CAP",
     "KEEP_SUBSET_LIMIT",
-    "IMAGE_POOL_CAP",
     "max_words",
     "max_word_len",
     "max_depth",
@@ -236,12 +234,11 @@ class SearchOutcome(Record):
 
     truncated_by maps each guard that fired to how often: an axiom's
     substitution list cut (2, once per direction, even when the goal is
-    found among its forward steps), the image pool cut, a match whose
-    remainder subsets were not enumerated, a candidate result over
-    max_words or max_word_len (plus one for a goal word longer than
-    max_word_len, which cuts the pool), and for max_depth the terms left
-    unexpanded. matched counts the
-    (substitution, context pair) matches found inside explored terms.
+    found among its forward steps), a match whose remainder subsets were
+    not enumerated, a candidate result over max_words or max_word_len
+    (plus one for a goal word longer than max_word_len, which cuts the
+    pool), and for max_depth the terms left unexpanded. matched counts
+    the (substitution, context pair) matches found inside explored terms.
     """
 
     __slots__ = ("status", "chain", "explored", "bounds", "truncated_by", "matched")
@@ -317,15 +314,15 @@ class _StepSpace:
     """The step relation of one search, built from (sigma, goal, bounds).
 
     The pool is the goal's contiguous subwords of at most max_word_len
-    letters; images are combinations of at most max_image_words pool
-    words, and contexts are absent or one pool word. Each axiom's
-    substitutions are built into one list, (phi, the words of phi(lhs),
-    the words of phi(rhs)) in Term order, the first time neighbors reaches
-    the axiom, and both directions read it. A step matches a substituted
-    side against the factorizations p·m·q of a state's words, and its
-    remainder keeps the unmatched words plus any subset of the matched
-    ones. fired counts the guards that cut the space and matched the
-    (substitution, context pair) matches.
+    letters; images are the first SUBSTITUTION_CAP + 1 combinations of
+    at most max_image_words pool words, and contexts are absent or one
+    pool word. Each axiom's substitutions are built into one list, (phi,
+    the words of phi(lhs), the words of phi(rhs)) in Term order, the first
+    time neighbors reaches the axiom, and both directions read it. A step
+    matches a substituted side against the factorizations p·m·q of a
+    state's words, and its remainder keeps the unmatched words plus any
+    subset of the matched ones. fired counts the guards that cut the space
+    and matched the (substitution, context pair) matches.
     """
 
     def __init__(self, sigma: AxiomSet, goal: Identity, bounds: SearchBounds):
@@ -341,11 +338,10 @@ class _StepSpace:
         # none is larger than the pool
         sizes = range(1, min(bounds.max_image_words, len(pool)) + 1)
         combos = itertools.chain.from_iterable(itertools.combinations(pool, k) for k in sizes)
-        # the cap never cuts the single pool words: a pool of IMAGE_POOL_CAP
-        # words or more keeps them all and at most one larger combination
-        self.images = list(itertools.islice(combos, max(IMAGE_POOL_CAP, len(pool) + 1)))
-        if next(combos, None) is not None:
-            self.fired["IMAGE_POOL_CAP"] += 1
+        # a substitution list cut at SUBSTITUTION_CAP reads no image past
+        # the first SUBSTITUTION_CAP, and one more tells _substitutions that
+        # the whole pool is longer
+        self.images = list(itertools.islice(combos, SUBSTITUTION_CAP + 1))
         # contexts: none, then the pool words in pool order
         self.affixes: list[Word] = [()] + pool
         self.tables: dict[str, list[tuple]] = {}
@@ -450,11 +446,10 @@ def search_derivation(
         return SearchOutcome("found", DerivationChain(start, (), target), 0, bounds)
 
     space = _StepSpace(sigma, goal, bounds)
-    # each reached state maps to its parent and the move from it
+    # each reached state maps to its parent and the move from it, the start to None
     start_words, target_words = start.word_set(), target.word_set()
-    visited = {start_words}
     frontier = [start_words]
-    parents: dict[frozenset[Word], tuple[frozenset[Word], tuple]] = {}
+    parents: dict[frozenset[Word], tuple[frozenset[Word], tuple] | None] = {start_words: None}
     explored = 0
 
     for _ in range(bounds.max_depth):
@@ -462,14 +457,13 @@ def search_derivation(
         for t_words in frontier:
             explored += 1
             for move, words in space.neighbors(t_words):
-                if words in visited:
+                if words in parents:
                     continue
-                visited.add(words)
                 parents[words] = (t_words, move)
                 if words == target_words:
                     steps = []
-                    while words in parents:
-                        words, move = parents[words]
+                    while (link := parents[words]) is not None:
+                        words, move = link
                         steps.append(space.step(move))
                     chain = DerivationChain(start, tuple(reversed(steps)), target)
                     verdict = verify_chain(chain, sigma)

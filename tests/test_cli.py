@@ -181,6 +181,17 @@ class TestCheck:
         assert code == 2
         assert "no syntactic decider" in err
 
+    def test_semiring_file_failing_the_axioms(self, capsys, tmp_path):
+        # 1 + 1 = 0, so addition is not idempotent at the element 1
+        path = tmp_path / "bad.json"
+        path.write_text(
+            '{"elements": ["0","1"], "add": [["0","1"],["1","0"]], "mul": [["0","0"],["0","1"]]}',
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "check", "--semiring", str(path), "--identity", "x == x")
+        assert (code, out) == (2, "")
+        assert err == f"error: semiring file {path}: additive idempotency fails at (1)\n"
+
     def test_missing_decider_fails_before_oracle(self, capsys, tmp_path, monkeypatch):
         def no_oracle(*args, **kwargs):
             raise AssertionError("the oracle ran")

@@ -35,16 +35,20 @@ from aisemiring import (
 from aisemiring import derivation
 from aisemiring.derivation import (
     GUARDS,
-    IMAGE_POOL_CAP,
     KEEP_SUBSET_LIMIT,
     SUBSTITUTION_CAP,
     SearchOutcome,
+    _StepSpace,
     _candidate_words,
     chain_to_dict,
 )
 from aisemiring.terms import word_key
 
 SIGMA = AxiomSet([("ax1", parse_identity("x == x + x*x"))])
+
+# The image pool cut of the frozen references below, since deleted from the
+# search; the comparisons stay below it, where both cut nothing.
+IMAGE_POOL_CAP = 5_000
 
 
 def _reference_search(sigma, goal, bounds):
@@ -761,17 +765,34 @@ class TestMatchingSearch:
         assert [s.direction for s in outcome.chain.steps] == ["forward"]
         assert outcome.truncated_by == {"SUBSTITUTION_CAP": 2}
 
-    def test_image_pool_cap_is_counted(self):
+    def test_one_variable_axiom_reads_the_whole_image_pool(self):
         # the goal word's 36 subwords make 36 + 630 images of at most two
-        # words, and 7,140 more of three, past IMAGE_POOL_CAP
+        # words and 7,140 more of three: 7,806 substitutions of sq, below
+        # SUBSTITUTION_CAP, each of whose two sides is substituted once
         sigma = AxiomSet([("sq", parse_identity("x == x + x*x"))])
         goal = parse_identity("a*b*c*d*e*f*g*h == a*b*c*d*e*f*g*h + a")
-        outcome = search_derivation(sigma, goal, SearchBounds(max_depth=1, max_image_words=3))
+        with mock.patch.object(
+            derivation, "image_words", wraps=derivation.image_words
+        ) as spy:
+            outcome = search_derivation(sigma, goal, SearchBounds(max_depth=1, max_image_words=3))
         assert outcome.status == "absent-truncated"
-        assert outcome.truncated_by == {"IMAGE_POOL_CAP": 1, "max_word_len": 72}
+        assert outcome.truncated_by == {"max_word_len": 72}
         assert (outcome.explored, outcome.matched) == (1, 36)
-        below = search_derivation(sigma, goal, SearchBounds(max_depth=1, max_image_words=2))
-        assert below.truncated_by == {"max_word_len": 72}
+        assert spy.call_count == 2 * (36 + 630 + 7_140)
+
+    def test_keep_subset_limit_is_counted(self):
+        # phi(x) = a + b: the backward step matches the six words of
+        # phi(x + x*x), more than KEEP_SUBSET_LIMIT, so it keeps none of them
+        sigma = AxiomSet([("sq", parse_identity("x == x + x*x"))])
+        goal = parse_identity("a + b + a*a + a*b + b*a + b*b == a + b")
+        outcome = search_derivation(sigma, goal, SearchBounds(max_depth=1, max_image_words=2))
+        assert outcome.found
+        [step] = outcome.chain.steps
+        assert (step.axiom_name, step.direction) == ("sq", "backward")
+        assert step.phi == {"x": parse_term("a + b")}
+        assert (step.left_context, step.right_context, step.remainder) == (None, None, None)
+        assert outcome.truncated_by == {"KEEP_SUBSET_LIMIT": 1, "max_words": 64}
+        assert (outcome.explored, outcome.matched) == (1, 36)
 
     def test_one_substitution_list_per_axiom(self):
         # each substitution's two sides are substituted once, whatever
@@ -884,6 +905,33 @@ class TestWordSetSearch:
             assert new.found
             assert new.truncated_by.get("max_word_len", 0) == fired
             assert _summary(new) == _summary(_term_search(sigma, goal, bounds))
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_substitution_lists_read_no_image_past_the_cap(self, data):
+        # the images are the pool's first SUBSTITUTION_CAP + 1 combinations;
+        # every substitution list, and the count of cut lists, is the one
+        # built over all of them
+        commutative = data.draw(st.booleans())
+        sigma = _random_sigma(data, commutative)
+        bounds = SearchBounds(
+            max_word_len=data.draw(st.integers(1, 5)),
+            max_image_words=data.draw(st.integers(1, 3)),
+        )
+        word = st.lists(st.sampled_from("abc"), min_size=1, max_size=6)
+        side = st.lists(word, min_size=1, max_size=3)
+        goal = Identity(Term(data.draw(side), commutative), Term(data.draw(side), commutative))
+        pool = _candidate_words(goal, bounds)
+        every = [
+            c for k in range(1, bounds.max_image_words + 1) for c in itertools.combinations(pool, k)
+        ]
+        with mock.patch.object(derivation, "SUBSTITUTION_CAP", data.draw(st.integers(1, 40))):
+            kept, whole = _StepSpace(sigma, goal, bounds), _StepSpace(sigma, goal, bounds)
+            whole.images = every
+            assert kept.images == every[: derivation.SUBSTITUTION_CAP + 1]
+            for _, ident in sigma:
+                assert kept._substitutions(ident) == whole._substitutions(ident)
+        assert kept.fired == whole.fired
 
     @pytest.mark.parametrize("commutative", [False, True])
     def test_huge_max_image_words_is_the_whole_pool(self, commutative):
