@@ -237,8 +237,10 @@ class SearchOutcome(Record):
     found among its forward steps), a match whose remainder subsets were
     not enumerated, a candidate result over max_words or max_word_len
     (plus one for a goal word longer than max_word_len, which cuts the
-    pool), and for max_depth the terms left unexpanded. matched counts
-    the (substitution, context pair) matches found inside explored terms.
+    pool), and for max_depth the terms left unexpanded; an expanding
+    step (see _StepSpace.neighbors) over a bound counts once per keep
+    subset. matched counts the (substitution, context pair) matches
+    found inside explored terms.
     """
 
     __slots__ = ("status", "chain", "explored", "bounds", "truncated_by", "matched")
@@ -361,7 +363,10 @@ class _StepSpace:
                 words = image_words(phi, side.words)
                 if self.mode:
                     words = {tuple(sorted(w)) for w in words}
-                sides.append(tuple(sorted(words, key=word_key)))
+                # sorted by letters, then stably by length: the word_key order
+                ordered = sorted(words)
+                ordered.sort(key=len)
+                sides.append(tuple(ordered))
             entries.append(tuple(sides))
         return entries
 
@@ -369,7 +374,13 @@ class _StepSpace:
         """(name, direction, phi, i, j, remainder words) and the result's
         words of each step from t_words within the bounds, in the order of
         the axioms, directions, substitutions, context pairs and kept
-        subsets; i and j index affixes."""
+        subsets; i and j index affixes. An expanding step, whose matched
+        words all lie in its base (every forward step of x == x + x*x),
+        gives one state whatever it keeps: it yields one successor, with
+        the unmatched words as remainder, and a rejection counts once per
+        keep subset. The substitution lists built on first reach run
+        image_words, which takes a one-letter word's image words as they
+        are."""
         mode, affixes, fired, tables = self.mode, self.affixes, self.fired, self.tables
         max_words, max_word_len = self.bounds.max_words, self.bounds.max_word_len
         index = _factor_index(t_words, mode, self.pool_index)
@@ -388,6 +399,9 @@ class _StepSpace:
                     if not pairs:
                         continue
                     phi, dst_words = entry[0], entry[dst_at]
+                    # wrapping in contexts is injective on words, so the
+                    # matched words lie in the base iff src_words lie in dst_words
+                    expanding = set(src_words).issubset(dst_words)
                     for i, j in sorted(pairs):
                         self.matched += 1
                         before, after = affixes[i], affixes[j]
@@ -397,9 +411,15 @@ class _StepSpace:
                             matched = [tuple(sorted(w)) for w in matched]
                             base = [tuple(sorted(w)) for w in base]
                         rest = t_words.difference(matched)
+                        # a rejected state counts once per keep subset giving it
+                        weight = 1
                         if len(matched) > KEEP_SUBSET_LIMIT:
                             fired["KEEP_SUBSET_LIMIT"] += 1
                             keep_space = [()]
+                        elif expanding:
+                            # every keep subset gives the state rest | base
+                            keep_space = [()]
+                            weight = 1 << len(matched)
                         else:
                             ordered = sorted(matched, key=word_key)
                             keep_space = [
@@ -411,9 +431,9 @@ class _StepSpace:
                             r_words = rest.union(keep)
                             words = r_words.union(base)
                             if len(words) > max_words:
-                                fired["max_words"] += 1
-                            elif any(len(rw) > max_word_len for rw in words):
-                                fired["max_word_len"] += 1
+                                fired["max_words"] += weight
+                            elif max(map(len, words)) > max_word_len:
+                                fired["max_word_len"] += weight
                             else:
                                 yield (name, direction, phi, i, j, r_words), words
 

@@ -297,12 +297,16 @@ Substitution = Mapping[str, Term]
 def image_words(images: Mapping[str, Iterable[Word]], words: Iterable[Word]) -> set[Word]:
     """The words of a substituted sum: each letter of each word is replaced
     by its image's words, a word maps to the concatenations of one pick
-    per letter, and the sum to the union over its words. The words are
-    not normalized: in commutative mode their letters keep product order."""
+    per letter, and the sum to the union over its words; a one-letter word
+    maps to its letter's image words as they are. The words are not
+    normalized: in commutative mode their letters keep product order."""
     out: set[Word] = set()
     for w in words:
-        for pick in itertools.product(*[images[x] for x in w]):
-            out.add(tuple(itertools.chain.from_iterable(pick)))
+        if len(w) == 1:
+            out.update(images[w[0]])
+        else:
+            for pick in itertools.product(*[images[x] for x in w]):
+                out.add(tuple(itertools.chain.from_iterable(pick)))
     return out
 
 

@@ -325,6 +325,39 @@ def _term_search(sigma, goal, bounds):
     return outcome("absent-truncated" if fired else "absent-exhausted", None)
 
 
+def _frozen_image_words(images, words):
+    """terms.image_words as it stood before one-letter words took their
+    letter's image words directly: every word through the product of its
+    letters' images."""
+    out = set()
+    for w in words:
+        for pick in itertools.product(*[images[x] for x in w]):
+            out.add(tuple(itertools.chain.from_iterable(pick)))
+    return out
+
+
+def _frozen_substitutions(space, ident):
+    """_StepSpace._substitutions as it stood before its sides were sorted
+    by letters and then by length: each side through _frozen_image_words
+    and sorted by word_key."""
+    variables = sorted(content(ident.lhs) | content(ident.rhs))
+    assignments = itertools.product(space.images, repeat=len(variables))
+    if len(space.images) ** len(variables) > derivation.SUBSTITUTION_CAP:
+        space.fired["SUBSTITUTION_CAP"] += 2
+        assignments = itertools.islice(assignments, derivation.SUBSTITUTION_CAP)
+    entries = []
+    for picks in assignments:
+        phi = dict(zip(variables, picks))
+        sides = [phi]
+        for side in (ident.lhs, ident.rhs):
+            words = _frozen_image_words(phi, side.words)
+            if space.mode:
+                words = {tuple(sorted(w)) for w in words}
+            sides.append(tuple(sorted(words, key=word_key)))
+        entries.append(tuple(sides))
+    return entries
+
+
 def step(axiom="ax1", direction="forward", phi=None, **kw):
     return DerivationStep(axiom, direction, phi or {"x": parse_term("y*z")}, **kw)
 
@@ -932,6 +965,83 @@ class TestWordSetSearch:
             for _, ident in sigma:
                 assert kept._substitutions(ident) == whole._substitutions(ident)
         assert kept.fired == whole.fired
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_image_words_equals_the_frozen_product(self, data):
+        # images of one or several words, some of them equal up to letter
+        # order, substituted into words with repeated and single letters
+        image_word = st.lists(st.sampled_from("ab"), min_size=1, max_size=3).map(tuple)
+        image = st.lists(image_word, min_size=1, max_size=3, unique=True).map(tuple)
+        images = {x: data.draw(image) for x in "xyz"}
+        word = st.lists(st.sampled_from("xyz"), min_size=1, max_size=4).map(tuple)
+        words = data.draw(st.lists(word, min_size=1, max_size=4))
+        assert derivation.image_words(images, words) == _frozen_image_words(images, words)
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_substitution_lists_equal_the_frozen_build(self, data):
+        # the same entries in the same order, and the same cut count, as
+        # the word_key-sorted build over the product for every word
+        commutative = data.draw(st.booleans())
+        sigma = _random_sigma(data, commutative)
+        bounds = SearchBounds(
+            max_word_len=data.draw(st.integers(1, 5)),
+            max_image_words=data.draw(st.integers(1, 3)),
+        )
+        word = st.lists(st.sampled_from("abc"), min_size=1, max_size=6)
+        side = st.lists(word, min_size=1, max_size=3)
+        goal = Identity(Term(data.draw(side), commutative), Term(data.draw(side), commutative))
+        with mock.patch.object(derivation, "SUBSTITUTION_CAP", data.draw(st.integers(1, 40))):
+            new, frozen = _StepSpace(sigma, goal, bounds), _StepSpace(sigma, goal, bounds)
+            for _, ident in sigma:
+                assert new._substitutions(ident) == _frozen_substitutions(frozen, ident)
+        assert new.fired == frozen.fired
+
+    @pytest.mark.parametrize(
+        "axioms, goal, bounds, truncated_by, explored, matched",
+        [
+            # forward sq at each of the 4 words adds its square: 5 words,
+            # over max_words for both keep subsets of the one matched word
+            (
+                ("sq",),
+                "a + b + c + d == b + c + d",
+                SearchBounds(max_depth=1, max_words=4),
+                {"max_words": 8},
+                1,
+                4,
+            ),
+            (
+                ("dup",),
+                "a + b + c == a + b + c + a*b",
+                SearchBounds(max_depth=1, max_words=3),
+                {"max_words": 30},
+                1,
+                9,
+            ),
+            (
+                ("sq", "dup"),
+                "a*b == b*a",
+                SearchBounds(max_depth=2, max_words=4, max_word_len=4),
+                {"max_word_len": 28, "max_depth": 7},
+                4,
+                56,
+            ),
+        ],
+    )
+    def test_rejected_expanding_steps_count_every_keep_subset(
+        self, axioms, goal, bounds, truncated_by, explored, matched
+    ):
+        # an expanding step (its matched words all in its base) is checked
+        # once, and a rejection counts once per keep subset, as the term
+        # search counts them one by one
+        texts = dict(AXIOM_TEXTS["sq,dup"])
+        sigma = AxiomSet([(name, parse_identity(texts[name])) for name in axioms])
+        goal = parse_identity(goal)
+        new = search_derivation(sigma, goal, bounds)
+        assert new.status == "absent-truncated"
+        assert (new.truncated_by, new.explored, new.matched) == (truncated_by, explored, matched)
+        assert _summary(new) == _summary(_term_search(sigma, goal, bounds))
 
     @pytest.mark.parametrize("commutative", [False, True])
     def test_huge_max_image_words_is_the_whole_pool(self, commutative):
