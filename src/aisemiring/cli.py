@@ -11,10 +11,10 @@ the argparse parser that build_parser() declares from the same table,
 which also writes every help text and usage message. argparse is
 imported only for the argv _exact_args refuses.
 
-Modules that only some commands call are imported inside those commands:
-derivation by the derive commands, witness by witness and axiom-check. So
-a check, delta, validate or crossval process runs neither (the package
-holds them as lazy modules), nor imports argparse or gettext, nor json:
+The CLI holds derivation and witness as the package's lazy modules,
+whose code runs on the first attribute read: in the derive commands, and
+in witness and axiom-check. So a check, delta, validate or crossval
+process runs neither, nor imports argparse or gettext, nor json:
 --json output is laid out by algebra._json_text, and well-formed files
 are decoded without it (algebra.json_document).
 """
@@ -26,6 +26,7 @@ import os
 import sys
 from types import SimpleNamespace
 
+from . import derivation, witness
 from .algebra import (
     BUILTIN_NAMES,
     AxiomViolation,
@@ -142,10 +143,8 @@ _STATUS = {True: "pass", False: "fail", None: "skipped"}
 
 
 def cmd_witness(args) -> int:
-    from .witness import check_witness_facts, make_witness
-
-    pair = make_witness(args.n)
-    report = check_witness_facts(pair, force_oracle=args.oracle)
+    pair = witness.make_witness(args.n)
+    report = witness.check_witness_facts(pair, force_oracle=args.oracle)
     u, q = str(pair.u), format_word(pair.q)
     lines = [f"witness n={pair.n}", f"u = {u}", f"q = {q}"]
     for c in report.checks:
@@ -159,15 +158,13 @@ def cmd_witness(args) -> int:
 
 
 def cmd_axiom_check(args) -> int:
-    from .witness import CONDITION_TEXT, check_axiom_conditions
-
     ident = _identity_arg(args.identity, args.commutative)
-    report = check_axiom_conditions(ident.lhs, ident.rhs)
+    report = witness.check_axiom_conditions(ident.lhs, ident.rhs)
     text = str(ident)
     lines = [f"identity: {text}"]
     for c in report.conditions:
         note = f" ({c.witness})" if c.witness else ""
-        lines.append(f"({c.name}) {CONDITION_TEXT[c.name]}: {_STATUS[c.passed]}{note}")
+        lines.append(f"({c.name}) {witness.CONDITION_TEXT[c.name]}: {_STATUS[c.passed]}{note}")
     lines.append(f"delta(A): {format_delta(report.delta)}")
     lines.append(
         f"every variable covered: {'yes' if report.every_variable_covered else 'no'}"
@@ -180,11 +177,9 @@ def cmd_axiom_check(args) -> int:
 
 
 def cmd_derive_verify(args) -> int:
-    from .derivation import axioms_from_json, chain_from_json, verify_chain
-
-    sigma = axioms_from_json(_read_text(args.axioms))
-    chain = chain_from_json(_read_text(args.chain))
-    verdict = verify_chain(chain, sigma)
+    sigma = derivation.axioms_from_json(_read_text(args.axioms))
+    chain = derivation.chain_from_json(_read_text(args.chain))
+    verdict = derivation.verify_chain(chain, sigma)
     if verdict.ok:
         lines = [f"verified: {len(chain.steps)} step(s) from {chain.start} to {chain.end}"]
     else:
@@ -200,8 +195,6 @@ def cmd_derive_verify(args) -> int:
 
 
 def _chain_lines(chain, sigma) -> list[str]:
-    from .derivation import apply_step
-
     lines = [f"T1 = {chain.start}"]
     t = chain.start
     for i, step in enumerate(chain.steps, start=1):
@@ -215,33 +208,26 @@ def _chain_lines(chain, sigma) -> list[str]:
             extras.append(f"remainder {step.remainder}")
         tail = f"; {'; '.join(extras)}" if extras else ""
         lines.append(f"  step {i}: [{step.axiom_name} {step.direction}] {phi}{tail}")
-        t = apply_step(t, step, sigma)
+        t = derivation.apply_step(t, step, sigma)
         lines.append(f"T{i + 1} = {t}")
     return lines
 
 
 def cmd_derive_search(args) -> int:
-    from .derivation import SearchBounds, axioms_from_json, chain_to_dict, search_derivation
-
-    sigma = axioms_from_json(_read_text(args.axioms))
+    sigma = derivation.axioms_from_json(_read_text(args.axioms))
     goal = parse_identity(args.goal, sigma.commutative)
-    bounds = SearchBounds(
+    bounds = derivation.SearchBounds(
         max_depth=args.max_depth,
         max_words=args.max_words,
         max_word_len=args.max_len,
         max_image_words=args.max_image_words,
     )
-    outcome = search_derivation(sigma, goal, bounds)
+    outcome = derivation.search_derivation(sigma, goal, bounds)
     doc = {
         "status": outcome.status,
         "explored": outcome.explored,
-        "bounds": {
-            "max_depth": bounds.max_depth,
-            "max_words": bounds.max_words,
-            "max_word_len": bounds.max_word_len,
-            "max_image_words": bounds.max_image_words,
-        },
-        "chain": chain_to_dict(outcome.chain) if outcome.found else None,
+        "bounds": {name: getattr(bounds, name) for name in bounds._fields},
+        "chain": derivation.chain_to_dict(outcome.chain) if outcome.found else None,
         "stats": {"truncated_by": outcome.truncated_by, "matched": outcome.matched},
     }
     if args.json:  # the chain is in doc; replaying it for the text is not needed

@@ -145,21 +145,23 @@ def check_witness_facts(pair: WitnessPair, force_oracle: bool = False) -> Witnes
     syn = holds_s7_0(ident)
     checks.append(FactCheck("syntactic", syn.holds, syn.reason or "criterion satisfied"))
 
-    try:
-        if not force_oracle and 2 * n + 1 > ORACLE_VARIABLE_LIMIT:
-            raise SizeLimitError(
-                "ORACLE_VARIABLE_LIMIT", 2 * n + 1, ORACLE_VARIABLE_LIMIT, "variables"
-            )
-        oracle = holds_bruteforce(builtin("S7_0"), ident)
-        checks.append(
-            FactCheck(
-                "oracle",
-                oracle.holds,
-                oracle.reason or f"{oracle.stats['nodes']} nodes visited",
-            )
+    if not force_oracle and 2 * n + 1 > ORACLE_VARIABLE_LIMIT:
+        limit = SizeLimitError(
+            "ORACLE_VARIABLE_LIMIT", 2 * n + 1, ORACLE_VARIABLE_LIMIT, "variables"
         )
-    except SizeLimitError as exc:
-        checks.append(FactCheck("oracle", None, str(exc)))
+        checks.append(FactCheck("oracle", None, str(limit)))
+    else:
+        try:
+            oracle = holds_bruteforce(builtin("S7_0"), ident)
+            checks.append(
+                FactCheck(
+                    "oracle",
+                    oracle.holds,
+                    oracle.reason or f"{oracle.stats['nodes']} nodes visited",
+                )
+            )
+        except SizeLimitError as exc:
+            checks.append(FactCheck("oracle", None, str(exc)))
 
     return WitnessReport(n=n, checks=tuple(checks))
 

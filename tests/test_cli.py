@@ -1,9 +1,11 @@
 import argparse
 import contextlib
 import functools
+import inspect
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import aisemiring
-from aisemiring import builtin, parse_term, semiring_to_json
+from aisemiring import (
+    SearchBounds,
+    Verdict,
+    builtin,
+    cross_validate,
+    parse_term,
+    semiring_to_json,
+)
 from aisemiring.algebra import _json_text
 from aisemiring.cli import (
     COMMANDS,
@@ -1007,6 +1016,54 @@ class TestDerive:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "goal, report",
+        [
+            (
+                "a*b + c == b*a + c",
+                "found: 1 step(s)\nT1 = c + a*b\n"
+                "  step 1: [comm forward] x -> a, y -> b; remainder c\nT2 = c + b*a\n",
+            ),
+            (
+                "d*a*b*e == d*b*a*e",
+                "found: 1 step(s)\nT1 = d*a*b*e\n"
+                "  step 1: [comm forward] x -> a, y -> b; left d; right e\nT2 = d*b*a*e\n",
+            ),
+        ],
+    )
+    def test_text_chain_names_contexts_and_remainder(self, capsys, tmp_path, goal, report):
+        path = tmp_path / "comm.json"
+        path.write_text(
+            json.dumps({"axioms": [{"name": "comm", "identity": "x*y == y*x"}]}), encoding="utf-8"
+        )
+        code, out, _ = run(capsys, "derive", "search", "--axioms", str(path), "--goal", goal)
+        assert (code, out) == (0, report)
+
+    @pytest.mark.parametrize(
+        "steps, message",
+        [
+            ({}, 'chain document needs a "steps" list'),
+            ([1], "each step must be an object"),
+            (
+                [{"axiom": 3, "direction": "forward", "phi": {}}],
+                'each step needs a string "axiom" field',
+            ),
+            (
+                [{"axiom": "ax1", "direction": "forward", "phi": {"x": "x"}, "remainder": 5}],
+                "term fields must be strings or null",
+            ),
+        ],
+    )
+    def test_verify_rejects_malformed_steps(self, capsys, tmp_path, axioms_file, steps, message):
+        chain_path = tmp_path / "chain.json"
+        chain_path.write_text(
+            json.dumps({"start": "x", "steps": steps, "end": "x"}), encoding="utf-8"
+        )
+        code, out, err = run(
+            capsys, "derive", "verify", "--axioms", axioms_file, "--chain", str(chain_path)
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 class TestValidate:
     def test_valid_file(self, capsys, tmp_path):
@@ -1045,6 +1102,30 @@ class TestValidate:
         )
         code, out, err = run(capsys, "validate", "--semiring", str(path))
         assert (code, out, err) == (2, "", "error: 'add' entry ['a'] is not an element name\n")
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([], "semiring file must be a JSON object"),
+            (
+                {"elements": [], "add": [], "mul": []},
+                "'elements' must be a nonempty array of strings",
+            ),
+            (
+                {"elements": ["a", "a"], "add": [["a", "a"]] * 2, "mul": [["a", "a"]] * 2},
+                "element names must be distinct",
+            ),
+            (
+                {"elements": ["a", "b"], "add": [["a", "b"], ["a"]], "mul": [["a", "a"]] * 2},
+                "'add' must be a 2x2 array",
+            ),
+        ],
+    )
+    def test_malformed_table_exits_two(self, capsys, tmp_path, doc, message):
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "validate", "--semiring", str(path))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 class TestMalformedFiles:
@@ -1108,6 +1189,21 @@ class TestCrossval:
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
 
+    def test_disagreements_are_listed(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            "aisemiring.cli.syntactic_decider", lambda label: lambda ident: Verdict(True)
+        )
+        code, out, _ = run(
+            capsys, "crossval", "--semiring", "S7", "--samples", "20", "--seed", "1"
+        )
+        lines = out.splitlines()
+        count = int(lines[3].removeprefix("disagreements: "))
+        assert code == 1
+        assert count >= 1
+        assert len(lines) == 4 + count
+        for line in lines[4:]:
+            assert re.fullmatch(r"  .+ == .+: syntactic=True oracle=False", line)
+
     def test_requires_builtin_name(self, capsys, tmp_path):
         path = tmp_path / "s7.json"
         path.write_text(semiring_to_json(builtin("S7")), encoding="utf-8")
@@ -1133,3 +1229,26 @@ class TestCrossval:
     def test_bad_bound_exits_two(self, capsys, flag, value, message):
         code, out, err = run(capsys, "crossval", "--semiring", "S7_0", flag, value)
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+class TestDefaultsMatchLibrary:
+    # the frozen reference parser pins the CLI's defaults; these pin them
+    # to the library's, so that neither copy drifts from the other
+    def test_derive_search_defaults_are_search_bounds(self):
+        args = build_parser().parse_args(["derive", "search", "--axioms", "a", "--goal", "g"])
+        bounds = SearchBounds(
+            max_depth=args.max_depth,
+            max_words=args.max_words,
+            max_word_len=args.max_len,
+            max_image_words=args.max_image_words,
+        )
+        assert bounds == SearchBounds()
+
+    def test_crossval_defaults_are_cross_validates(self):
+        args = build_parser().parse_args(["crossval", "--semiring", "S7"])
+        defaults = inspect.signature(cross_validate).parameters
+        assert (args.max_vars, args.max_words, args.max_len) == (
+            defaults["max_vars"].default,
+            defaults["max_words"].default,
+            defaults["max_word_len"].default,
+        )

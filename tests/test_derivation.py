@@ -487,6 +487,11 @@ class TestSearch:
         wide = SearchBounds(max_depth=2, max_words=8, max_word_len=8)
         assert search_derivation(SIGMA, goal, wide).found
 
+    def test_goal_must_share_the_axioms_mode(self):
+        sigma = AxiomSet([("sq", parse_identity("x == x + x*x", commutative=True))])
+        with pytest.raises(ValueError, match="axioms and goal must share the commutativity mode"):
+            search_derivation(sigma, parse_identity("x*y == y*x"))
+
     def test_trivial_goal(self):
         goal = parse_identity("x*y == x*y")
         outcome = search_derivation(SIGMA, goal)
