@@ -10,7 +10,6 @@ against each other on randomly generated identities.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from functools import lru_cache
 from itertools import count
 from operator import itemgetter
@@ -95,56 +94,45 @@ def _word_plan(w: tuple[int, ...], offset: int) -> tuple:
     product per new run with a cell, gone and live the names of the runs
     absorbed and created; at the last variable, last, all runs join into
     the whole word, the product of first and rest, and no run is made or
-    left live. Runs are found by bisection, so a word costs about linear
-    time.
+    left live. Runs are kept under their end positions, so a letter at p
+    finds the run on its left under last position p - 1 and the one on its
+    right under first position p + 1, and a word costs linear time.
     """
     positions: dict[int, list[int]] = {}
     for p, x in enumerate(w):
         positions.setdefault(x, []).append(p)
-    runs: tuple[list[int], list[int], list[int]] = ([], [], [])  # first, last position, name
+    starts: dict[int, list] = {}  # each run [first, last position, names] by its first position
+    ends: dict[int, list] = {}  # and by its last
     cells = count(offset)
-    *opens, last = sorted(positions)
-    steps = [(d, *_merge_runs(runs, positions[d], d, cells)) for d in opens]
-    size = next(cells) - offset
-    made, gone, _ = _merge_runs(runs, positions[last], last, cells)
-    first, rest = made[0][1:] if made else (last, ())
+    steps = []
+    last = max(positions)
+    for d in sorted(positions):
+        created: list[list] = []  # the runs that hold d's letters, left to right
+        for p in positions[d]:
+            run = ends.pop(p - 1, None)
+            if run is None:
+                run = starts[p] = [p, p, []]
+            if not created or run is not created[-1]:
+                created.append(run)
+            run[2].append(d)
+            right = starts.pop(p + 1, None)
+            if right:
+                run[2] += right[2]
+            run[1] = right[1] if right else p
+            ends[run[1]] = run
+        gone = tuple(t for run in created for t in run[2] if t != d)  # absorbed runs are named otherwise
+        if d == last:
+            break
+        made = []
+        for run in created:
+            head, *rest = run[2]
+            if rest:
+                run[2] = [next(cells)]
+                made.append((run[2][0], head, tuple(rest)))
+        steps.append((d, tuple(made), gone, tuple(run[2][0] for run in created)))
     steps.append((last, (), gone, ()))
-    return size, tuple(steps), last, first, rest
-
-
-def _merge_runs(runs, positions: list[int], x: int, cells) -> tuple:
-    """Add the letters of variable x, at the given positions, to a word's
-    runs; returns (made, gone, live) as in _word_plan, with new cells
-    drawn from the iterator cells."""
-    starts, ends, names = runs
-    old = len(starts)
-    created = []  # [first absorbed run, after the last one, names, first, last position]
-    for p in positions:
-        j = bisect_left(starts, p)
-        if created and created[-1][4] == p - 1:
-            run = created[-1]
-        else:
-            left = j > 0 and ends[j - 1] == p - 1
-            run = [j - left, j, [names[j - 1]] if left else [], starts[j - 1] if left else p, p]
-            created.append(run)
-        run[2].append(x)
-        run[1], run[4] = j, p
-        if j < old and starts[j] == p + 1:
-            run[2].append(names[j])
-            run[1], run[4] = j + 1, ends[j]
-    made, gone, live = [], [], []
-    for run in created:
-        head, *rest = run[2]
-        gone += [t for t in run[2] if t != x]  # absorbed runs are named otherwise
-        if rest:
-            cell = next(cells)
-            made.append((cell, head, tuple(rest)))
-            live.append(cell)
-        else:
-            live.append(x)
-    for (a, b, _, first, last), name in zip(reversed(created), reversed(live)):
-        starts[a:b], ends[a:b], names[a:b] = [first], [last], [name]
-    return tuple(made), tuple(gone), tuple(live)
+    first, *rest = created[0][2]
+    return next(cells) - offset, tuple(steps), last, first, tuple(rest)
 
 
 def _search_order(words: list[tuple[str, ...]], commutative: bool) -> list[str]:

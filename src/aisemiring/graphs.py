@@ -112,12 +112,12 @@ def _extract_cycle(v: str, w: str, parent: dict[str, str | None]) -> list[str]:
 
     up_v, up_w = ancestry(v), ancestry(w)
     common = None
-    vs, ws = set(up_v), set(up_w)
+    ws = set(up_w)
     for node in up_v:
         if node in ws:
             common = node
             break
-    assert common is not None and common in vs
+    assert common is not None
     arm_v = up_v[: up_v.index(common) + 1]
     arm_w = up_w[: up_w.index(common)]
     return arm_v + arm_w[::-1]

@@ -99,6 +99,11 @@ class TestBuiltins:
         assert all(s.add[s.additive_top][e] == s.additive_top for e in range(s.size))
         assert s.mul_commutes
 
+    def test_unknown_element_name_raises(self):
+        with pytest.raises(ValueError) as info:
+            builtin("S7").add_named("1", "z")
+        assert str(info.value) == "unknown element 'z'"
+
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_add_with_empty(self, name):
         # index size is the empty sum: it gives the other operand back
@@ -136,6 +141,13 @@ class TestValidation:
         out = validate_ai_semiring(("0", "1"), add, mul)
         assert isinstance(out, AxiomViolation)
         assert "distributivity" in out.law or "associativity" in out.law
+
+    def test_broken_additive_associativity(self):
+        # + commutes and is idempotent, but (a + a) + b = c and a + (a + b) = b
+        add = [[0, 2, 1], [2, 1, 0], [1, 0, 2]]
+        out = validate_ai_semiring(["a", "b", "c"], add, [[0] * 3] * 3)
+        assert isinstance(out, AxiomViolation)
+        assert str(out) == "additive associativity fails at (a, a, b)"
 
     def test_structural_errors_raise(self):
         with pytest.raises(ValueError):
@@ -179,6 +191,21 @@ class TestConstructions:
         s7 = builtin("S7")
         out = validate_congruence(s7, [["1", "a"], ["0"]])
         assert isinstance(out, CongruenceViolation)
+
+    @pytest.mark.parametrize(
+        "partition, message",
+        [
+            ([["1", "a"], ["0"]], "addition incompatible: 1~1 and 1~a"),
+            ([["1", "0"], ["a"]], "multiplication incompatible: 1~0 and a~a"),
+        ],
+    )
+    def test_violation_names_the_operation_and_the_pairs(self, partition, message):
+        out = validate_congruence(builtin("S7"), partition)
+        assert str(out) == f"{message} but results land in different blocks"
+
+    def test_partition_by_indices(self):
+        out = validate_congruence(builtin("S7_0"), [[0], [1], [2], [3]])
+        assert repr(out) == "Congruence(partition=((0,), (1,), (2,), (3,)))"
 
     def test_non_partition_raises(self):
         s7 = builtin("S7")

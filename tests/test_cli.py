@@ -758,6 +758,13 @@ class TestWitness:
         assert code == 0
         assert "oracle: skipped" in out
 
+    def test_oracle_node_budget_skips_the_fact(self, capsys, monkeypatch):
+        monkeypatch.setattr("aisemiring.deciders.ORACLE_NODE_BUDGET", 10)
+        code, out, _ = run(capsys, "witness", "--n", "2", "--oracle")
+        assert code == 0
+        assert "oracle: skipped (capped by ORACLE_NODE_BUDGET: 11 nodes visited, limit 10)" in out
+        assert "overall: pass" in out
+
     def test_bad_n(self, capsys):
         code, _, err = run(capsys, "witness", "--n", "0")
         assert code == 2

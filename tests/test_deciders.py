@@ -1,5 +1,6 @@
 import itertools
 import random
+from bisect import bisect_left
 from functools import cache, partial
 from unittest.mock import patch
 
@@ -256,6 +257,72 @@ def test_word_plan_replays_to_run_products(w, offset, values):
             assert mem[name] == product(w[a:b + 1])
             names[a, b] = name
     assert product((first, *rest)) == fold_words([w], S7_0.add, S7_0.mul, values)
+
+
+# The word planner as it was when runs were found by bisection in three
+# sorted lists and spliced back per variable, frozen as the reference the
+# planner that keeps runs under their end positions must match.
+def _bisect_word_plan(w, offset):
+    positions = {}
+    for p, x in enumerate(w):
+        positions.setdefault(x, []).append(p)
+    runs = ([], [], [])  # first, last position, name
+    cells = itertools.count(offset)
+    *opens, last = sorted(positions)
+    steps = [(d, *_bisect_merge_runs(runs, positions[d], d, cells)) for d in opens]
+    size = next(cells) - offset
+    made, gone, _ = _bisect_merge_runs(runs, positions[last], last, cells)
+    first, rest = made[0][1:] if made else (last, ())
+    steps.append((last, (), gone, ()))
+    return size, tuple(steps), last, first, rest
+
+
+def _bisect_merge_runs(runs, positions, x, cells):
+    starts, ends, names = runs
+    old = len(starts)
+    created = []  # [first absorbed run, after the last one, names, first, last position]
+    for p in positions:
+        j = bisect_left(starts, p)
+        if created and created[-1][4] == p - 1:
+            run = created[-1]
+        else:
+            left = j > 0 and ends[j - 1] == p - 1
+            run = [j - left, j, [names[j - 1]] if left else [], starts[j - 1] if left else p, p]
+            created.append(run)
+        run[2].append(x)
+        run[1], run[4] = j, p
+        if j < old and starts[j] == p + 1:
+            run[2].append(names[j])
+            run[1], run[4] = j + 1, ends[j]
+    made, gone, live = [], [], []
+    for run in created:
+        head, *rest = run[2]
+        gone += [t for t in run[2] if t != x]
+        if rest:
+            cell = next(cells)
+            made.append((cell, head, tuple(rest)))
+            live.append(cell)
+        else:
+            live.append(x)
+    for (a, b, _, first, last), name in zip(reversed(created), reversed(live)):
+        starts[a:b], ends[a:b], names[a:b] = [first], [last], [name]
+    return tuple(made), tuple(gone), tuple(live)
+
+
+def test_word_plan_matches_bisection_planner_on_every_short_word():
+    for n in range(1, 7):
+        for w in itertools.product(range(4), repeat=n):
+            assert _word_plan.__wrapped__(w, 4) == _bisect_word_plan(w, 4), w
+
+
+@settings(max_examples=500)
+@given(
+    st.integers(1, 12).flatmap(lambda k: st.lists(st.integers(0, k - 1), min_size=1, max_size=60)),
+    st.integers(0, 1000),
+)
+def test_word_plan_matches_bisection_planner(w, offset):
+    w = tuple(w)
+    assert _word_plan(w, offset) == _bisect_word_plan(w, offset)
 
 
 def _reference_scan(s, ident):

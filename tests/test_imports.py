@@ -158,6 +158,60 @@ def test_well_formed_files_are_read_without_json(tmp_path):
     assert not loaded & JSON_MODULES
 
 
+# Runs each ";"-separated argv through cli.main in a fresh interpreter,
+# without json's C accelerator _json when the first argument says so, and
+# prints whether algebra fell back to json's Python scanner, each exit code
+# and stdout, and json_document's error on malformed text.
+FALLBACK_RUNNER = """\
+import io, sys
+if sys.argv[1] == "without":
+    sys.modules["_json"] = None
+from aisemiring import algebra
+from aisemiring.cli import main
+args, out = sys.argv[2:], [algebra._scan_once is None]
+while args:
+    cut = args.index(";") if ";" in args else len(args)
+    stdout, sys.stdout = sys.stdout, io.StringIO()
+    code = main(args[:cut])
+    out.append((code, sys.stdout.getvalue()))
+    sys.stdout = stdout
+    args = args[cut + 1:]
+try:
+    algebra.json_document("{bad")
+except ValueError as exc:
+    out.append(str(exc))
+print(repr(out))
+"""
+
+
+def test_interpreter_without_the_c_scanner_gives_the_same_outputs(tmp_path):
+    semiring = tmp_path / "s7_0.json"
+    semiring.write_text(semiring_to_json(builtin("S7_0")), encoding="utf-8")
+    axioms = tmp_path / "axioms.json"
+    axioms.write_text(
+        '{"commutative": false, "axioms": [{"name": "sq", "identity": "x == x + x*x"}]}',
+        encoding="utf-8",
+    )
+    argvs = [
+        ["validate", "--semiring", str(semiring)],
+        ["check", "--semiring", str(semiring), "--method", "oracle",
+         "--identity", "x^2+y == x^2+y+y^2"],
+        ["derive", "search", "--axioms", str(axioms), "--goal", "x*y == x*y + x*y*x*y", "--json"],
+        ["witness", "--n", "2", "--json"],
+    ]
+    args = [a for argv in argvs for a in (*argv, ";")][:-1]
+    (with_c,) = _python(FALLBACK_RUNNER, "with", *args)
+    (without_c,) = _python(FALLBACK_RUNNER, "without", *args)
+    with_c, without_c = ast.literal_eval(with_c), ast.literal_eval(without_c)
+    assert (with_c[0], without_c[0]) == (False, True)
+    assert [code for code, _ in with_c[1:-1]] == [0, 1, 0, 0]
+    assert without_c[1:] == with_c[1:]
+    assert with_c[-1] == (
+        "not valid JSON: Expecting property name enclosed in double quotes: "
+        "line 1 column 2 (char 1)"
+    )
+
+
 @pytest.mark.parametrize(
     "text",
     ['{"elements": ["a"]', '["tab\there"]', "\ufeff{}", "{} x", "", "9" * 4_301, "[" * 100_000],

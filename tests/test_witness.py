@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from aisemiring import (
     Term,
+    WitnessPair,
     check_axiom_conditions,
     check_witness_facts,
     content,
@@ -16,6 +18,7 @@ from aisemiring import (
     parse_identity,
     parse_term,
 )
+from aisemiring import deciders
 from aisemiring.terms import format_word
 
 
@@ -93,6 +96,28 @@ class TestWitnessFacts:
         assert report.check("oracle").passed is True
         assert report.check("oracle").note == "1368 nodes visited"
 
+    def test_hand_built_path_fails_its_facts(self):
+        # a path x1-x2-x3, not an odd cycle: u ≈ u + q fails in S7_0
+        pair = WitnessPair(1, Term([("x1", "x2"), ("x2", "x3")], True), ("x1", "x2", "x3"))
+        report = check_witness_facts(pair)
+        assert not report.ok
+        facts = {c.name: (c.passed, c.note) for c in report.checks}
+        assert facts["odd-cycle"] == (False, "graph of u is bipartite")
+        assert facts["delta-empty"] == (False, "delta family has 2 members")
+        assert facts["oracle"] == (False, "sides evaluate to a and 0")
+
+    def test_oracle_past_its_node_budget_is_skipped(self):
+        with patch.object(deciders, "ORACLE_NODE_BUDGET", 10):
+            report = check_witness_facts(make_witness(2), force_oracle=True)
+        oracle = report.check("oracle")
+        assert oracle.passed is None
+        assert oracle.note == "capped by ORACLE_NODE_BUDGET: 11 nodes visited, limit 10"
+        assert report.ok
+
+    def test_unknown_check_name_raises(self):
+        with pytest.raises(KeyError):
+            check_witness_facts(make_witness(1)).check("nope")
+
     def test_report_dict_shape(self):
         doc = check_witness_facts(make_witness(1)).to_dict()
         assert doc["n"] == 1
@@ -130,6 +155,11 @@ class TestAxiomConditions:
         assert report.every_variable_covered
         assert report.b_subset_a
         assert report.cycle is None
+
+    def test_unknown_condition_name_raises(self):
+        a = parse_term("x1*x2", commutative=True)
+        with pytest.raises(KeyError):
+            check_axiom_conditions(a, a).condition("z")
 
     def test_first_witness_fails_d_with_a_triangle(self):
         pair = make_witness(1)
