@@ -234,13 +234,13 @@ class SearchOutcome(Record):
 
     truncated_by maps each guard that fired to how often: an axiom's
     substitution list cut (2, once per direction, even when the goal is
-    found among its forward steps), a match whose remainder subsets were
-    not enumerated, a candidate result over max_words or max_word_len
-    (plus one for a goal word longer than max_word_len, which cuts the
-    pool), and for max_depth the terms left unexpanded; an expanding
-    step (see _StepSpace.neighbors) over a bound counts once per keep
-    subset. matched counts the (substitution, context pair) matches
-    found inside explored terms.
+    found among its forward steps), a match that is not expanding and
+    whose remainder subsets were not enumerated, a candidate result over
+    max_words or max_word_len (plus one for a goal word longer than
+    max_word_len, which cuts the pool), and for max_depth the terms left
+    unexpanded; an expanding step (see _StepSpace.neighbors) over a bound
+    counts once per keep subset. matched counts the (substitution,
+    context pair) matches found inside explored terms.
     """
 
     __slots__ = ("status", "chain", "explored", "bounds", "truncated_by", "matched")
@@ -377,10 +377,11 @@ class _StepSpace:
         subsets; i and j index affixes. An expanding step, whose matched
         words all lie in its base (every forward step of x == x + x*x),
         gives one state whatever it keeps: it yields one successor, with
-        the unmatched words as remainder, and a rejection counts once per
-        keep subset. The substitution lists built on first reach run
-        image_words, which takes a one-letter word's image words as they
-        are."""
+        the unmatched words as remainder, however many words it matched,
+        and a rejection counts once per keep subset; KEEP_SUBSET_LIMIT
+        counts only the other steps. The substitution lists built on first
+        reach run image_words, which takes a one-letter word's image words
+        as they are."""
         mode, affixes, fired, tables = self.mode, self.affixes, self.fired, self.tables
         max_words, max_word_len = self.bounds.max_words, self.bounds.max_word_len
         index = _factor_index(t_words, mode, self.pool_index)
@@ -413,13 +414,13 @@ class _StepSpace:
                         rest = t_words.difference(matched)
                         # a rejected state counts once per keep subset giving it
                         weight = 1
-                        if len(matched) > KEEP_SUBSET_LIMIT:
-                            fired["KEEP_SUBSET_LIMIT"] += 1
-                            keep_space = [()]
-                        elif expanding:
+                        if expanding:
                             # every keep subset gives the state rest | base
                             keep_space = [()]
                             weight = 1 << len(matched)
+                        elif len(matched) > KEEP_SUBSET_LIMIT:
+                            fired["KEEP_SUBSET_LIMIT"] += 1
+                            keep_space = [()]
                         else:
                             ordered = sorted(matched, key=word_key)
                             keep_space = [

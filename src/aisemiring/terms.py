@@ -195,6 +195,8 @@ def _exact_covers(u: Term) -> frozenset[frozenset[str]]:
     letter counts of the words they occur in, so a forced chain such as an
     odd cycle costs linear work. Each word covered or recounted is one
     word visit; past DELTA_WORK_CAP visits the search raises SizeLimitError.
+    Each branched word keeps its choice in one frame, and a cover is the
+    letters the frames hold when no word is open.
     """
     words = u.words
     where: dict[str, list[int]] = {}  # letter -> the words it occurs in, once each
@@ -214,15 +216,13 @@ def _exact_covers(u: Term) -> frozenset[frozenset[str]]:
     for i, c in enumerate(left):
         by_left[c].add(i)
     covered = [False] * len(words)
-    open_words = len(words)
     work = 0
 
     def choose(x: str) -> list[str]:
-        nonlocal open_words, work
+        nonlocal work
         for i in where[x]:
             by_left[left[i]].remove(i)
             covered[i] = True
-        open_words -= len(where[x])
         work += len(where[x])
         gone = []
         for i in where[x]:
@@ -241,7 +241,6 @@ def _exact_covers(u: Term) -> frozenset[frozenset[str]]:
         return gone
 
     def undo(x: str, gone: list[str]) -> None:
-        nonlocal open_words
         for y in reversed(gone):
             available.add(y)
             for j in where[y]:
@@ -252,33 +251,30 @@ def _exact_covers(u: Term) -> frozenset[frozenset[str]]:
         for i in where[x]:
             covered[i] = False
             by_left[left[i]].add(i)
-        open_words += len(where[x])
 
     found = []
-    chosen: list[str] = []
-    # one frame per branched word: its letters, the next one to try, and
-    # the letters the current choice banned (None before the first choice)
+    # one frame per branched word: an iterator over its available letters,
+    # the letter chosen (None before the first choice or once all are tried)
+    # and the letters that choice banned
     frames: list[list] = []
     while True:
-        if not open_words:
-            found.append(tuple(chosen))
-        else:
-            c = next(c for c, b in enumerate(by_left) if b)
-            if c:
-                i = next(iter(by_left[c]))
-                frames.append([[y for y in words[i] if y in available], 0, None])
+        # the fewest letters left on an open word: None when no word is
+        # open, 0 at a dead end
+        c = next((c for c, b in enumerate(by_left) if b), None)
+        if c is None:
+            found.append([frame[1] for frame in frames])
+        elif c:
+            i = next(iter(by_left[c]))
+            frames.append([iter([y for y in words[i] if y in available]), None, None])
         # take the next untried letter, backing up over exhausted words
         while frames:
             frame = frames[-1]
-            if frame[2] is not None:
-                undo(chosen.pop(), frame[2])
-                frame[2] = None
-            if frame[1] == len(frame[0]):
+            if frame[1] is not None:
+                undo(frame[1], frame[2])
+            x = frame[1] = next(frame[0], None)
+            if x is None:
                 frames.pop()
                 continue
-            x = frame[0][frame[1]]
-            frame[1] += 1
-            chosen.append(x)
             frame[2] = choose(x)
             break
         else:

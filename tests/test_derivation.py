@@ -107,7 +107,10 @@ def _reference_search(sigma, goal, bounds):
                             if q is not None:
                                 base = base * q
                             rest = t_words - matched
-                            if len(matched) > KEEP_SUBSET_LIMIT:
+                            # an expanding match, its words all in its base,
+                            # gives rest | base whatever it keeps
+                            expanding = matched <= base.word_set()
+                            if not expanding and len(matched) > KEEP_SUBSET_LIMIT:
                                 truncated = True
                                 keep_space = [frozenset()]
                             else:
@@ -265,7 +268,10 @@ def _term_search(sigma, goal, bounds):
                         matched = [tuple(sorted(w)) for w in matched]
                         base = [tuple(sorted(w)) for w in base]
                     rest = t_words.difference(matched)
-                    if len(matched) > KEEP_SUBSET_LIMIT:
+                    # an expanding match, its words all in its base, gives
+                    # rest | base whatever it keeps
+                    expanding = set(matched).issubset(base)
+                    if not expanding and len(matched) > KEEP_SUBSET_LIMIT:
                         fired["KEEP_SUBSET_LIMIT"] += 1
                         keep_space = [()]
                     else:
@@ -517,6 +523,15 @@ class TestSearch:
                 hits += 1
                 assert verify_chain(outcome.chain, sigma).ok
         assert hits >= 2
+
+    def test_unverifiable_chain_raises(self):
+        goal = parse_identity("x*y == x*y + x*y*x*y")
+        forced = derivation.ChainVerdict(False, 0, "step 0: forced")
+        with mock.patch.object(derivation, "verify_chain", return_value=forced):
+            with pytest.raises(
+                RuntimeError, match="search produced an unverifiable chain: step 0: forced"
+            ):
+                search_derivation(SIGMA, goal)
 
 
 class TestSemanticSoundness:
@@ -831,6 +846,31 @@ class TestMatchingSearch:
         assert (step.left_context, step.right_context, step.remainder) == (None, None, None)
         assert outcome.truncated_by == {"KEEP_SUBSET_LIMIT": 1, "max_words": 64}
         assert (outcome.explored, outcome.matched) == (1, 36)
+
+    def test_expanding_matches_do_not_count_keep_subset_limit(self):
+        # ax's forward steps are expanding: phi(a) + ... + phi(e) lies in
+        # its base, so the state is the same whatever the match keeps, and
+        # a match of more than KEEP_SUBSET_LIMIT words cuts nothing
+        sigma = AxiomSet([("ax", parse_identity("a + b + c + d + e == a + b + c + d + e + a"))])
+        goal = parse_identity("x1 + x2 + x3 + x4 + x5 == x1 + x2 + x3 + x4")
+        outcome = search_derivation(sigma, goal)
+        assert (outcome.status, outcome.truncated_by) == ("absent-exhausted", {})
+        assert (outcome.explored, outcome.matched) == (1, 6250)
+        assert _summary(outcome) == _summary(_term_search(sigma, goal, SearchBounds()))
+
+    def test_expanding_match_found_without_keep_subset_limit(self):
+        sigma = AxiomSet([("ax", parse_identity("a + b + c + d + e == a + b + c + d + e + a*b"))])
+        goal = parse_identity("x1 + x2 + x3 + x4 + x5 == x1 + x2 + x3 + x4 + x5 + x2*x1")
+        outcome = search_derivation(sigma, goal)
+        assert outcome.found and outcome.truncated_by == {}
+        assert (outcome.explored, outcome.matched) == (1, 626)
+        [step] = outcome.chain.steps
+        assert (step.axiom_name, step.direction) == ("ax", "forward")
+        assert step.phi == {
+            x: parse_term(img) for x, img in zip("abcde", ("x2", "x1", "x1", "x1", "x1"))
+        }
+        assert (step.left_context, step.right_context) == (None, None)
+        assert step.remainder == parse_term("x3 + x4 + x5")
 
     def test_one_substitution_list_per_axiom(self):
         # each substitution's two sides are substituted once, whatever

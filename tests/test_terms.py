@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from aisemiring import (
     substitute,
 )
 from aisemiring.deciders import _unmet
+import aisemiring.terms as terms_module
 from aisemiring.terms import DELTA_WORK_CAP, image_words, word_key
 
 VARS = ("x", "y", "z")
@@ -190,6 +192,99 @@ def delta_by_subsets(term: Term) -> frozenset[frozenset[str]]:
     )
 
 
+def frozen_exact_covers(u: Term, cap: int) -> frozenset[frozenset[str]]:
+    """terms._exact_covers as it stood with an open-word counter and a list
+    of chosen letters beside its frames, kept frozen as the reference for
+    the frame-only search; cap stands for DELTA_WORK_CAP."""
+    words = u.words
+    where: dict[str, list[int]] = {}  # letter -> the words it occurs in, once each
+    banned = set()
+    for i, w in enumerate(words):
+        counts = dict.fromkeys(w, 1) if is_linear(w) else Counter(w)
+        for x, k in counts.items():
+            if k > 1:
+                banned.add(x)
+            else:
+                where.setdefault(x, []).append(i)
+    for x in banned:
+        where.pop(x, None)
+    available = set(where)
+    left = [sum(x in available for x in w) for w in words]  # letters still available
+    by_left = [set() for _ in range(max(left) + 1)]  # open words by letters left
+    for i, c in enumerate(left):
+        by_left[c].add(i)
+    covered = [False] * len(words)
+    open_words = len(words)
+    work = 0
+
+    def choose(x: str) -> list[str]:
+        nonlocal open_words, work
+        for i in where[x]:
+            by_left[left[i]].remove(i)
+            covered[i] = True
+        open_words -= len(where[x])
+        work += len(where[x])
+        gone = []
+        for i in where[x]:
+            for y in words[i]:
+                if y in available:
+                    available.remove(y)
+                    gone.append(y)
+                    for j in where[y]:
+                        if not covered[j]:
+                            by_left[left[j]].remove(j)
+                            by_left[left[j] - 1].add(j)
+                        left[j] -= 1
+                    work += len(where[y])
+        if work > cap:
+            raise SizeLimitError("DELTA_WORK_CAP", work, cap, "word visits")
+        return gone
+
+    def undo(x: str, gone: list[str]) -> None:
+        nonlocal open_words
+        for y in reversed(gone):
+            available.add(y)
+            for j in where[y]:
+                left[j] += 1
+                if not covered[j]:
+                    by_left[left[j] - 1].remove(j)
+                    by_left[left[j]].add(j)
+        for i in where[x]:
+            covered[i] = False
+            by_left[left[i]].add(i)
+        open_words += len(where[x])
+
+    found = []
+    chosen: list[str] = []
+    # one frame per branched word: its letters, the next one to try, and
+    # the letters the current choice banned (None before the first choice)
+    frames: list[list] = []
+    while True:
+        if not open_words:
+            found.append(tuple(chosen))
+        else:
+            c = next(c for c, b in enumerate(by_left) if b)
+            if c:
+                i = next(iter(by_left[c]))
+                frames.append([[y for y in words[i] if y in available], 0, None])
+        # take the next untried letter, backing up over exhausted words
+        while frames:
+            frame = frames[-1]
+            if frame[2] is not None:
+                undo(chosen.pop(), frame[2])
+                frame[2] = None
+            if frame[1] == len(frame[0]):
+                frames.pop()
+                continue
+            x = frame[0][frame[1]]
+            frame[1] += 1
+            chosen.append(x)
+            frame[2] = choose(x)
+            break
+        else:
+            return frozenset(map(frozenset, found))
+
+
 class TestDeltaSets:
     def test_square_plus_y_is_empty(self):
         u = Term([("x", "x"), ("y",)])
@@ -256,6 +351,60 @@ class TestDeltaSets:
         v = Term(v_words + [tuple(sorted(missing))] if missing else v_words, u.commutative)
         for a, b in ((u, v), (v, u)):
             assert set(_unmet(a, b.word_set() - a.word_set())) == delta_sets(a) - delta_sets(b)
+
+
+def covers_or_limit(search, u):
+    """A search's family, or the guard, visits and limit it raised with."""
+    try:
+        return search(u)
+    except SizeLimitError as exc:
+        return (exc.guard, exc.done, exc.limit)
+
+
+def small_scope_terms():
+    """Every term of at most three words of at most two letters over a, b,
+    c, d, in both modes."""
+    pool = [w for k in (1, 2) for w in itertools.product("abcd", repeat=k)]
+    for size in (1, 2, 3):
+        for ws in itertools.combinations(pool, size):
+            for commutative in (False, True):
+                yield Term(ws, commutative)
+
+
+class TestExactCoversMatchFrozenSearch:
+    def assert_same(self, u, caps):
+        # the family at the real cap, then raise-or-not and the visits at
+        # each small cap
+        assert terms_module._exact_covers(u) == frozen_exact_covers(u, DELTA_WORK_CAP)
+        for cap in caps:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(terms_module, "DELTA_WORK_CAP", cap)
+                new = covers_or_limit(terms_module._exact_covers, u)
+            assert new == covers_or_limit(lambda t: frozen_exact_covers(t, cap), u), cap
+
+    def test_every_term_of_a_small_scope(self):
+        for u in small_scope_terms():
+            self.assert_same(u, caps=(0, 1, 2, 3, 5, 8))
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_disjoint_edges_raise_at_the_same_visit(self, k):
+        # k edges have 2^k covers; the caps reach past the search's whole work
+        u = Term([(f"a{i}", f"b{i}") for i in range(k)])
+        self.assert_same(u, caps=range(8 * 2**k))
+
+    def test_past_the_work_cap(self):
+        u = Term([(f"a{i}", f"b{i}") for i in range(20)])
+        new = covers_or_limit(terms_module._exact_covers, u)
+        assert new[0] == "DELTA_WORK_CAP"
+        assert new == covers_or_limit(lambda t: frozen_exact_covers(t, DELTA_WORK_CAP), u)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        terms(alphabet=tuple("abcdefghij"), max_words=12, max_word_len=4),
+        st.integers(min_value=0, max_value=200),
+    )
+    def test_drawn_terms_and_caps(self, u, cap):
+        self.assert_same(u, caps=(cap,))
 
 
 class TestSubstitute:
