@@ -163,23 +163,22 @@ def _search_order(words: list[tuple[str, ...]], commutative: bool) -> list[str]:
     heap = [(2, len(at), x) for x, at in places.items()]
     heapify(heap)
     order: list[str] = []
-    done: set[str] = set()
 
     def lower(x: str, to: int) -> None:
-        if to < level[x] and x not in done:
+        if to < level[x]:
             level[x] = to
             heappush(heap, (to, len(places[x]), x))
 
     while heap:
         at, _, x = heappop(heap)
-        if at != level[x] or x in done:
+        if at != level[x]:
             continue
-        done.add(x)
+        level[x] = -1  # ordered: below every entry, so lower skips it
         order.append(x)
         for i in {i for i, _ in places[x]}:
             unassigned[i] -= 1
             if unassigned[i] == 1:
-                lower(next(y for y in words[i] if y not in done), 0)
+                lower(next(y for y in words[i] if level[y] >= 0), 0)
             elif commutative and unassigned[i] == sizes[i] - 1:
                 for y in words[i]:
                     lower(y, 1)

@@ -65,59 +65,45 @@ def _neighbors(g: TermGraph) -> dict[str, list[str]]:
     first, in edges (x, v) ordered by x, then its larger ones, in edges
     (v, y) ordered by y, so no list needs sorting."""
     adj: dict[str, list[str]] = {v: [] for v in sorted(g.vertices)}
-    for e in sorted(g.edges, key=sorted):
-        x, y = sorted(e)
+    for x, y in sorted(sorted(e) for e in g.edges):
         adj[x].append(y)
         adj[y].append(x)
     return adj
 
 
 def odd_cycle(g: TermGraph) -> OddCycleSearch:
-    """Find an odd cycle by BFS 2-coloring, or return a proper 2-coloring.
+    """Find an odd cycle by breadth-first search, or return a proper 2-coloring.
 
-    The returned cycle is a closed walk listed as vertices (consecutive
-    and wrap-around pairs are edges) of odd length. Disconnected graphs
-    are colored per component, each root colored 0.
+    Each vertex keeps its BFS depth, each root (taken by name, one per
+    component) at 0. An edge outside the BFS tree joins vertices at equal
+    or adjacent depths, so its ends would get the same color, the parity
+    of the depth, exactly when their depths are equal. Such an edge (v, w)
+    closes an odd cycle: v and w walk up the tree in step until they meet
+    at their lowest common ancestor, and the cycle is listed from v up to
+    that ancestor and down the other arm to w (consecutive and wrap-around
+    pairs are edges). A bipartite graph gets the depth parities as its
+    coloring.
     """
     adj = _neighbors(g)
-    color: dict[str, int] = {}
-    parent: dict[str, str | None] = {}
+    depth: dict[str, int] = {}
+    parent: dict[str, str] = {}
     for root in sorted(g.vertices):
-        if root in color:
+        if root in depth:
             continue
-        color[root] = 0
-        parent[root] = None
+        depth[root] = 0
         queue = deque([root])
         while queue:
             v = queue.popleft()
             for w in adj[v]:
-                if w not in color:
-                    color[w] = 1 - color[v]
+                if w not in depth:
+                    depth[w] = depth[v] + 1
                     parent[w] = v
                     queue.append(w)
-                elif color[w] == color[v]:
-                    return OddCycleSearch(_extract_cycle(v, w, parent), None)
-    return OddCycleSearch(None, color)
-
-
-def _extract_cycle(v: str, w: str, parent: dict[str, str | None]) -> list[str]:
-    # Walk both endpoints up to their lowest common ancestor; the two arms
-    # plus the conflicting edge form an odd cycle.
-    def ancestry(x):
-        path = [x]
-        while parent[x] is not None:
-            x = parent[x]
-            path.append(x)
-        return path
-
-    up_v, up_w = ancestry(v), ancestry(w)
-    common = None
-    ws = set(up_w)
-    for node in up_v:
-        if node in ws:
-            common = node
-            break
-    assert common is not None
-    arm_v = up_v[: up_v.index(common) + 1]
-    arm_w = up_w[: up_w.index(common)]
-    return arm_v + arm_w[::-1]
+                elif depth[w] == depth[v]:
+                    arm_v, arm_w = [v], [w]
+                    while v != w:
+                        v, w = parent[v], parent[w]
+                        arm_v.append(v)
+                        arm_w.append(w)
+                    return OddCycleSearch(arm_v + arm_w[-2::-1], None)
+    return OddCycleSearch(None, {v: d % 2 for v, d in depth.items()})

@@ -117,29 +117,35 @@ def check_witness_facts(pair: WitnessPair, force_oracle: bool = False) -> Witnes
     u, q, n = pair.u, pair.q, pair.n
     checks: list[FactCheck] = []
 
-    checks.append(
-        FactCheck(
-            "contents-equal",
-            content(u) == frozenset(q),
-            f"c(u) and c({format_word(q)}) both have {len(content(u))} variables",
+    cu, cq, qs = content(u), frozenset(q), format_word(q)
+    if cu == cq:
+        note = f"c(u) and c({qs}) both have {len(cu)} variables"
+    else:
+        note = "; ".join(
+            f"only in c({side}): {', '.join(sorted(only))}"
+            for side, only in (("u", cu - cq), (qs, cq - cu))
+            if only
         )
-    )
+    checks.append(FactCheck("contents-equal", cu == cq, note))
 
     d = delta_sets(u)
     checks.append(FactCheck("delta-empty", not d, f"delta family has {len(d)} members"))
 
-    found = odd_cycle(term_graph(u))
-    if found.cycle is None:
-        checks.append(FactCheck("odd-cycle", False, "graph of u is bipartite"))
+    try:
+        cycle = odd_cycle(term_graph(u)).cycle
+    except ValueError as exc:  # a square word, which is no edge
+        checks.append(FactCheck("odd-cycle", False, str(exc)))
     else:
-        length = len(found.cycle)
-        checks.append(
-            FactCheck(
-                "odd-cycle",
-                length == 2 * n + 1,
-                f"odd cycle of length {length}, expected {2 * n + 1}",
+        if cycle is None:
+            checks.append(FactCheck("odd-cycle", False, "graph of u is bipartite"))
+        else:
+            checks.append(
+                FactCheck(
+                    "odd-cycle",
+                    len(cycle) == 2 * n + 1,
+                    f"odd cycle of length {len(cycle)}, expected {2 * n + 1}",
+                )
             )
-        )
 
     ident = pair.identity
     syn = holds_s7_0(ident)

@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given
@@ -7,12 +8,13 @@ from hypothesis import strategies as st
 from aisemiring import (
     Term,
     TermGraph,
+    content,
     delta_sets,
     make_witness,
     odd_cycle,
     term_graph,
 )
-from aisemiring.graphs import _neighbors
+from aisemiring.graphs import OddCycleSearch, _neighbors
 
 
 def graph_of(pairs):
@@ -144,3 +146,98 @@ def test_color_classes_of_connected_bipartite_terms_are_delta_members():
         for color in (0, 1):
             cls = frozenset(v for v, c in out.coloring.items() if c == color)
             assert cls in family, (str(t), sorted(cls))
+
+
+# The 2-coloring search as it was before it kept BFS depths: a color map
+# next to the parents, and both ancestries rebuilt as lists on a conflict.
+# Copied verbatim (the adjacency under the name frozen_neighbors) as the
+# reference for the exact cycle and coloring, which axiom-check prints.
+def frozen_neighbors(g: TermGraph) -> dict[str, list[str]]:
+    adj: dict[str, list[str]] = {v: [] for v in sorted(g.vertices)}
+    for e in sorted(g.edges, key=sorted):
+        x, y = sorted(e)
+        adj[x].append(y)
+        adj[y].append(x)
+    return adj
+
+
+def frozen_odd_cycle(g: TermGraph) -> OddCycleSearch:
+    adj = frozen_neighbors(g)
+    color: dict[str, int] = {}
+    parent: dict[str, str | None] = {}
+    for root in sorted(g.vertices):
+        if root in color:
+            continue
+        color[root] = 0
+        parent[root] = None
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            for w in adj[v]:
+                if w not in color:
+                    color[w] = 1 - color[v]
+                    parent[w] = v
+                    queue.append(w)
+                elif color[w] == color[v]:
+                    return OddCycleSearch(frozen_extract_cycle(v, w, parent), None)
+    return OddCycleSearch(None, color)
+
+
+def frozen_extract_cycle(v: str, w: str, parent: dict[str, str | None]) -> list[str]:
+    # Walk both endpoints up to their lowest common ancestor; the two arms
+    # plus the conflicting edge form an odd cycle.
+    def ancestry(x):
+        path = [x]
+        while parent[x] is not None:
+            x = parent[x]
+            path.append(x)
+        return path
+
+    up_v, up_w = ancestry(v), ancestry(w)
+    common = None
+    ws = set(up_w)
+    for node in up_v:
+        if node in ws:
+            common = node
+            break
+    assert common is not None
+    arm_v = up_v[: up_v.index(common) + 1]
+    arm_w = up_w[: up_w.index(common)]
+    return arm_v + arm_w[::-1]
+
+
+def assert_same_search(g):
+    out, ref = odd_cycle(g), frozen_odd_cycle(g)
+    assert (out.cycle, out.coloring) == (ref.cycle, ref.coloring)
+
+
+class TestOddCycleMatchesFrozenSearch:
+    @given(
+        st.sets(st.integers(0, 11), max_size=12),
+        st.lists(
+            st.tuples(st.integers(0, 11), st.integers(0, 11)).filter(
+                lambda p: p[0] != p[1]
+            ),
+            max_size=20,
+        ),
+    )
+    def test_random_graphs_with_isolated_vertices(self, isolated, pairs):
+        edges = frozenset(frozenset((f"v{a}", f"v{b}")) for a, b in pairs)
+        vertices = frozenset(f"v{i}" for i in isolated) | {v for e in edges for v in e}
+        assert_same_search(TermGraph(vertices, edges))
+
+    @pytest.mark.parametrize("n", range(1, 51))
+    def test_witness_cycles_with_shuffled_names(self, n):
+        u = make_witness(n).u
+        names = sorted(content(u))
+        renamed = names[:]
+        random.Random(n).shuffle(renamed)
+        rename = dict(zip(names, renamed))
+        t = Term([tuple(rename[x] for x in w) for w in u.words], commutative=True)
+        g = term_graph(t)
+        assert_same_search(g)
+        assert len(odd_cycle(g).cycle) == 2 * n + 1
+
+    def test_cycle_is_listed_as_axiom_check_prints_it(self):
+        g = term_graph(Term([("x", "y"), ("y", "z"), ("x", "z")], commutative=True))
+        assert odd_cycle(g).cycle == ["y", "x", "z"]

@@ -106,6 +106,38 @@ class TestWitnessFacts:
         assert facts["delta-empty"] == (False, "delta family has 2 members")
         assert facts["oracle"] == (False, "sides evaluate to a and 0")
 
+    def test_contents_note_names_what_one_side_only_has(self):
+        # a triangle on x1..x3 against q = x1*x2*x3*x4: the contents differ
+        u = Term([("x1", "x2"), ("x2", "x3"), ("x1", "x3")], True)
+        report = check_witness_facts(WitnessPair(1, u, ("x1", "x2", "x3", "x4")))
+        fact = report.check("contents-equal")
+        assert (fact.passed, fact.note) == (False, "only in c(x1*x2*x3*x4): x4")
+        report = check_witness_facts(WitnessPair(1, u, ("x1", "x4", "x5")))
+        fact = report.check("contents-equal")
+        assert (fact.passed, fact.note) == (
+            False,
+            "only in c(u): x2, x3; only in c(x1*x4*x5): x4, x5",
+        )
+
+    def test_square_word_fails_the_odd_cycle_fact(self):
+        # x1*x1 is no simple edge: the fact fails with term_graph's message,
+        # and the facts after it are still checked
+        u = Term([("x1", "x1"), ("x1", "x2"), ("x2", "x3"), ("x1", "x3")], True)
+        report = check_witness_facts(WitnessPair(1, u, ("x1", "x2", "x3")))
+        assert not report.ok
+        fact = report.check("odd-cycle")
+        assert (fact.passed, fact.note) == (
+            False,
+            "word x1*x1 is not a simple edge (repeated letter)",
+        )
+        assert [c.name for c in report.checks] == [
+            "contents-equal",
+            "delta-empty",
+            "odd-cycle",
+            "syntactic",
+            "oracle",
+        ]
+
     def test_oracle_past_its_node_budget_is_skipped(self):
         with patch.object(deciders, "ORACLE_NODE_BUDGET", 10):
             report = check_witness_facts(make_witness(2), force_oracle=True)
