@@ -59,6 +59,13 @@ class FiniteSemiring(Record):
         return top
 
     @functools.cached_property
+    def multiplicative_zero(self) -> int | None:
+        """Index of the element z with z*e = e*z = z for every e, which is
+        unique when it exists; None when the table has none."""
+        indices = range(self.size)
+        return next((z for z in indices if all(self.mul[z][e] == z == self.mul[e][z] for e in indices)), None)
+
+    @functools.cached_property
     def add_with_empty(self) -> tuple[tuple[int, ...], ...]:
         """The addition table with one more index, size, for the empty sum:
         its row and column give the other operand back, so a running sum

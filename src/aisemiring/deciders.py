@@ -33,8 +33,8 @@ from .terms import (
 ORACLE_NODE_BUDGET = 1_000_000
 # The most leaves a search over the variables in name order may have. Name
 # order is not cheaper per search: on 6-variable S7_0 identities that hold,
-# a search visits 1,388 nodes (1.47 ms) in name order and 522 (0.59 ms) in
-# shape order. But its first falsifying leaf is the witness, so it skips
+# a search visits 193 nodes (0.24 ms) in name order and 80 (0.13 ms) in
+# shape order, on average. But its first falsifying leaf is the witness, so it skips
 # _search_order and the runs that fix a witness in name order (see
 # holds_bruteforce). On many small checks that saving wins: shape order
 # everywhere made the benchmark's check-mixed workload 31 % slower in wall
@@ -262,24 +262,47 @@ class _Search:
         runs: list[list] = [[] for _ in order]
         closing: list[list] = [[] for _ in order]
         word_steps = []
-        for w, target in targets.items():
+        # one bit per word: per variable the words it is in, per depth the
+        # one-sided words closing there, and per side its words
+        words_of = [0] * k
+        closes = [0] * k
+        lhs_words = rhs_words = 0
+        for i, (w, target) in enumerate(targets.items()):
+            bit = 1 << i
             size, steps, last, first, rest = _word_plan(w, len(mem))
             mem += [-1] * size
             for d, made, _, _ in steps:
                 runs[d] += made
+                words_of[d] |= bit
             closing[last].append((target, first, rest))
             word_steps.append(steps)
+            if target != -2:
+                lhs_words |= bit
+            if target != -1:
+                rhs_words |= bit
+            if target != -3:
+                closes[last] |= bit
+        one_sided_open = [0] * k  # per depth, the one-sided words closing below it
+        for d in range(k - 1, 0, -1):
+            one_sided_open[d - 1] = one_sided_open[d] | closes[d]
         n = s.size
         self.s, self.k, self.top, self.add = s, k, s.additive_top, s.add_with_empty
         self.word_steps, self.mem, self.runs, self.closing = word_steps, mem, runs, closing
+        self.zero, self.words_of, self.one_sided_open = s.multiplicative_zero, words_of, one_sided_open
+        self.lhs_words, self.rhs_words = lhs_words, rhs_words
         self.held = None  # per depth, the getter of the live run products, on first need
         self.lo, self.hi = [0] * k, [n - 1] * k
         self.cleared: dict[int, set] = {}  # per depth, the keys of exhausted subtrees
         self.since_bound: list[tuple[int, tuple]] = []  # (depth, key) cleared since bound()
-        self.nodes = self.memo_hits = self.top_pruned = 0
+        self.nodes = self.memo_hits = self.top_pruned = self.settled_pruned = 0
 
     def stats(self) -> dict:
-        return {"nodes": self.nodes, "memo_hits": self.memo_hits, "top_pruned": self.top_pruned}
+        return {
+            "nodes": self.nodes,
+            "memo_hits": self.memo_hits,
+            "top_pruned": self.top_pruned,
+            "settled_pruned": self.settled_pruned,
+        }
 
     def bound(self, d: int, e: int) -> None:
         """Bound variable d to the value e, within its old bounds or, after
@@ -302,10 +325,20 @@ class _Search:
         there into the lhs sum, the rhs sum or both (targets -1, -2, -3);
         both sums start at the empty sum, index n, whose row in the
         addition table gives each element back. A leaf falsifies when the
-        sums differ. Two kinds of subtree are skipped:
+        sums differ. Three kinds of subtree are skipped:
         - where both running sums have reached the additive top, the sum
           of all elements: the top absorbs every element, so both sides
           evaluate to it at every leaf below;
+        - where every open word on one side only is settled (a letter of
+          it is valued the multiplicative zero z), and the two sums agree
+          once z is added to each side with a settled word: a settled word
+          is z at every leaf below, so z is in that side's sum at every
+          leaf and, + being idempotent, adding it once more changes
+          nothing; the open words on both sides add the same to each.
+          Without a zero, or with no one-sided word open, only shared
+          words remain, and the sums must already agree. The words are
+          the bits of masks, and the settled ones pass down per depth as
+          the sums do, so a node tests them with one OR and one AND-NOT;
         - where the live state (the two running sums and the run products
           of the open words, those with letters assigned and unassigned)
           equals that of a subtree searched to the end without a
@@ -315,7 +348,7 @@ class _Search:
           elimination: a unifying framework for reasoning", AI 113, 1999).
           Nodes whose children are leaves are not memoised: their leaves
           cost about what a key does.
-        Neither skip passes a falsifying leaf. At the node past
+        No skip passes a falsifying leaf. At the node past
         ORACLE_NODE_BUDGET (internal ones and leaves, over all runs) it
         raises SizeLimitError.
         """
@@ -323,7 +356,11 @@ class _Search:
         since_bound = self.since_bound
         lo, hi = self.lo, self.hi
         add, mul = self.add, self.s.mul
-        nodes, memo_hits, top_pruned = self.nodes, self.memo_hits, self.top_pruned
+        zero, words_of, one_sided_open = self.zero, self.words_of, self.one_sided_open
+        lhs_words, rhs_words = self.lhs_words, self.rhs_words
+        nodes, memo_hits, top_pruned, settled_pruned = (
+            self.nodes, self.memo_hits, self.top_pruned, self.settled_pruned
+        )
         budget = ORACLE_NODE_BUDGET
         k = self.k
         last = k - 1
@@ -332,6 +369,8 @@ class _Search:
         # from the empty sum
         lhs_sums = [self.s.size] * k
         rhs_sums = [self.s.size] * k
+        # settled[d]: the words with a letter above depth d valued zero
+        settled = [0] * k
         d = 0
         while True:
             nodes += 1
@@ -355,21 +394,29 @@ class _Search:
                     left, right = add[left][v], add[right][v]
             if d == last:
                 if left != right:
-                    self.nodes, self.memo_hits, self.top_pruned = nodes, memo_hits, top_pruned
+                    self.nodes, self.memo_hits = nodes, memo_hits
+                    self.top_pruned, self.settled_pruned = top_pruned, settled_pruned
                     return tuple(mem[:k]), left, right
             elif left == top and right == top:
                 top_pruned += 1
-            elif d in cleared and _state(self.held[d], mem, left, right) in cleared[d]:
-                memo_hits += 1
             else:
-                d += 1
-                lhs_sums[d], rhs_sums[d] = left, right
-                continue
+                here = settled[d] | words_of[d] if mem[d] == zero else settled[d]
+                if not one_sided_open[d] & ~here and (
+                    add[left][zero] if here & lhs_words else left
+                ) == (add[right][zero] if here & rhs_words else right):
+                    settled_pruned += 1
+                elif d in cleared and _state(self.held[d], mem, left, right) in cleared[d]:
+                    memo_hits += 1
+                else:
+                    d += 1
+                    lhs_sums[d], rhs_sums[d], settled[d] = left, right, here
+                    continue
             # next sibling, backing up over exhausted digits; a node all of
             # whose children are exhausted clears its key
             while mem[d] == hi[d]:
                 if d == 0:
-                    self.nodes, self.memo_hits, self.top_pruned = nodes, memo_hits, top_pruned
+                    self.nodes, self.memo_hits = nodes, memo_hits
+                    self.top_pruned, self.settled_pruned = top_pruned, settled_pruned
                     return None
                 mem[d] = lo[d]
                 d -= 1
@@ -399,8 +446,9 @@ def holds_bruteforce(s: FiniteSemiring, ident: Identity) -> Verdict:
     whatever the names; its first falsifying leaf is then a witness, and
     _fix_in_name_order finds the first one in name order. Past
     ORACLE_NODE_BUDGET nodes visited over all runs the search raises
-    SizeLimitError. The verdict's stats count nodes, memo_hits and
-    top_pruned over all runs. s must satisfy the ai-semiring laws, as
+    SizeLimitError. The verdict's stats count nodes, memo_hits,
+    top_pruned and settled_pruned (the subtrees that the multiplicative
+    zero settles, see _Search.first_leaf) over all runs. s must satisfy the ai-semiring laws, as
     every loader checks; a commutative-mode identity also needs a
     commutative multiplication.
     """
@@ -414,7 +462,7 @@ def holds_bruteforce(s: FiniteSemiring, ident: Identity) -> Verdict:
             f"but {a}*{b} != {b}*{a}"
         )
     if ident.is_trivial():
-        return Verdict(True, stats={"nodes": 0, "memo_hits": 0, "top_pruned": 0})
+        return Verdict(True, stats={"nodes": 0, "memo_hits": 0, "top_pruned": 0, "settled_pruned": 0})
     variables = sorted(set().union(*ident.lhs.words, *ident.rhs.words))
     if s.size ** len(variables) <= NAME_ORDER_LEAVES:
         order = variables

@@ -29,7 +29,7 @@ from .terms import (
 )
 
 # The most variables the oracle fact takes unless forced: witnesses n <= 3,
-# whose oracle runs visit 60, 416 and 940 nodes (n = 4, 5: 1,368, 1,776).
+# whose oracle runs visit 28, 52 and 76 nodes (n = 4, 5: 100, 124).
 ORACLE_VARIABLE_LIMIT = 8
 
 

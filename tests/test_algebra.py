@@ -99,6 +99,18 @@ class TestBuiltins:
         assert all(s.add[s.additive_top][e] == s.additive_top for e in range(s.size))
         assert s.mul_commutes
 
+    @pytest.mark.parametrize("name,zero", [("S7", "0"), ("S7_0", "∞"), ("D2", "0"), ("trivial", "1")])
+    def test_multiplicative_zero(self, name, zero):
+        s = builtin(name)
+        assert s.elements[s.multiplicative_zero] == zero
+
+    def test_left_zero_table_has_no_multiplicative_zero(self):
+        # + is max and x*y = x: every element is a left zero, none a right one
+        s = validate_ai_semiring(("p", "q"), ((0, 1), (1, 1)), ((0, 0), (1, 1)))
+        assert isinstance(s, FiniteSemiring)
+        assert s.multiplicative_zero is None
+        assert adjoin_zero(s, "z").multiplicative_zero == 2
+
     def test_unknown_element_name_raises(self):
         with pytest.raises(ValueError) as info:
             builtin("S7").add_named("1", "z")
@@ -170,6 +182,11 @@ class TestConstructions:
             assert s.add_named("z", e) == e
             assert s.mul_named("z", e) == "z"
             assert s.mul_named(e, "z") == "z"
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_adjoined_element_is_the_multiplicative_zero(self, name):
+        s = adjoin_zero(builtin(name), "z")
+        assert s.elements[s.multiplicative_zero] == "z"
 
     def test_adjoin_zero_name_clash(self):
         with pytest.raises(ValueError, match="already in carrier"):

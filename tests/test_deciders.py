@@ -30,7 +30,7 @@ from aisemiring import (
     random_identity,
     validate_ai_semiring,
 )
-from aisemiring.deciders import _holds_trivial, _Search, _search_order, _word_plan
+from aisemiring.deciders import NAME_ORDER_LEAVES, _holds_trivial, _Search, _search_order, _word_plan
 from aisemiring.terms import DELTA_WORK_CAP, fold_words
 
 S7 = builtin("S7")
@@ -44,6 +44,8 @@ CYCLE_7 = " + ".join(f"x{i}*x{i % 7 + 1}" for i in range(1, 8))
 # the 5-cycle plus x6*x2 on both sides, q = x1*...*x5 on the rhs
 CYCLE_5 = " + ".join(f"x{i}*x{i % 5 + 1}" for i in range(1, 6))
 SHARED_LHS, SHARED_RHS = f"{CYCLE_5} + x6*x2", f"{CYCLE_5} + x1*x2*x3*x4*x5 + x6*x2"
+# two triangles on interleaved names
+TRIANGLES = "a*c + c*e + e*a + b*d + d*f + f*b"
 
 
 def _product(s, t):
@@ -136,7 +138,7 @@ class TestBruteForce:
         # leaves are counted one by one like inner nodes: the search stops
         # at the node past the budget, not after its siblings
         ident = parse_identity("x*y == y*x")
-        assert holds_bruteforce(S7_0, ident).stats["nodes"] == 20
+        assert holds_bruteforce(S7_0, ident).stats["nodes"] == 16
         monkeypatch.setattr("aisemiring.deciders.ORACLE_NODE_BUDGET", 3)
         with pytest.raises(SizeLimitError) as caught:
             holds_bruteforce(S7_0, ident)
@@ -144,53 +146,61 @@ class TestBruteForce:
 
     def test_stats(self):
         v = holds_bruteforce(S7_0, SQUARE_PADDING)
-        assert v.stats == {"nodes": 10, "memo_hits": 0, "top_pruned": 2}
+        assert v.stats == {"nodes": 10, "memo_hits": 0, "top_pruned": 2, "settled_pruned": 0}
         assert v.to_dict()["stats"] == v.stats
         assert holds_bruteforce(S7_0, parse_identity("x + y == y + x")).stats["nodes"] == 0
         assert "stats" not in holds_s7(SQUARE_PADDING).to_dict()
         witness = holds_bruteforce(S7_0, make_witness(4).identity)
-        assert witness.stats["memo_hits"] > 0 and witness.stats["top_pruned"] > 0
+        assert witness.stats["top_pruned"] > 0 and witness.stats["settled_pruned"] > 0
+        # the zero settles the witness before any state repeats; D2xS7 has
+        # a zero too, but there the memo still hits
+        shared = holds_bruteforce(D2_S7, parse_identity(f"{SHARED_LHS} == {SHARED_RHS}"))
+        assert shared.stats["memo_hits"] > 0 and shared.stats["settled_pruned"] > 0
 
     @pytest.mark.parametrize(
         "s,ident,witness,stats",
         [
-            (S7_0, make_witness(5).identity, None, (1776, 322, 555)),
-            (S7_0, make_witness(12).identity, None, (4632, 1204, 1815)),
-            (S7_0, parse_identity(f"{CYCLE_7} == {CYCLE_7} + x3*x1*x4*x7*x2*x6*x5"), None, (1668, 68, 296)),
+            (S7_0, make_witness(5).identity, None, (124, 0, 54, 28)),
+            (S7_0, make_witness(12).identity, None, (292, 0, 138, 70)),
+            (S7_0, parse_identity(f"{CYCLE_7} == {CYCLE_7} + x3*x1*x4*x7*x2*x6*x5"), None, (76, 0, 30, 16)),
             (
                 S7_0,
                 parse_identity(f"{CYCLE_7} + x2*x5*x2 == {CYCLE_7} + x5*x2*x5 + x3*x1*x4*x7*x2*x6*x5"),
                 {"x1": "1", "x2": "a", "x3": "1", "x4": "a", "x5": "1", "x6": "a", "x7": "∞"},
-                (471, 9, 73),
+                (311, 9, 50, 3),
             ),
-            (S7_0, parse_identity(f"{SHARED_LHS} == {SHARED_RHS}"), None, (880, 15, 182)),
-            (D2_S7, parse_identity(f"{SHARED_LHS} == {SHARED_RHS}"), None, (2748, 155, 228)),
+            (S7_0, parse_identity(f"{SHARED_LHS} == {SHARED_RHS}"), None, (52, 0, 26, 14)),
+            (D2_S7, parse_identity(f"{SHARED_LHS} == {SHARED_RHS}"), None, (1878, 76, 204, 92)),
             (
                 S7_0,
                 parse_identity(f"{SHARED_LHS} + a0 == {SHARED_RHS} + a0*a0"),
                 {"a0": "a", "x1": "1", "x2": "a", "x3": "1", "x4": "a", "x5": "∞", "x6": "1"},
-                (573, 49, 191),
+                (573, 49, 191, 0),
             ),
             (
                 D2_S7,
                 parse_identity(f"{SHARED_LHS} + a0*x1 == {SHARED_RHS} + a0*x1 + a0"),
                 {"a0": "1.1", "x1": "0.1", "x2": "0.1", "x3": "0.1", "x4": "0.1", "x5": "0.1", "x6": "0.1"},
-                (4711, 1182, 1347),
+                (4711, 1182, 1347, 0),
             ),
+            (S7_0, parse_identity(f"{TRIANGLES} == {TRIANGLES} + a*c*e + b*d*f"), None, (584, 0, 202, 53)),
         ],
         ids=[
             "witness-5", "witness-12", "cycle-holds", "cycle-fails",
             "shared-holds", "shared-holds-product", "shared-fails", "shared-fails-product",
+            "two-triangles",
         ],
     )
     def test_stats_pinned(self, s, ident, witness, stats):
         # the counts pin the search itself, not only its answer; the
         # non-commutative cycles have cells that merge runs, which the
         # commutative witnesses have not; in the shared cases most words
-        # sit on both sides, as in u + K ≈ u + q + K
+        # sit on both sides, as in u + K ≈ u + q + K; in the two triangles
+        # a = ∞ settles a*c*e above the depth where b = ∞ settles b*d*f,
+        # and only then is every one-sided word settled
         v = holds_bruteforce(s, ident)
         assert (v.holds, v.witness) == (witness is None, witness)
-        assert v.stats == dict(zip(("nodes", "memo_hits", "top_pruned"), stats))
+        assert v.stats == dict(zip(("nodes", "memo_hits", "top_pruned", "settled_pruned"), stats))
 
     @settings(max_examples=60)
     @given(st.integers(0, 2**32 - 1))
@@ -556,6 +566,80 @@ class TestSharedWords:
         old = _reference_scan(s, ident)
         for new in _both_orders(s, ident):
             assert (new.holds, new.witness, new.reason) == (old.holds, old.witness, old.reason)
+
+
+@st.composite
+def _settled_identities(draw):
+    """u + K (+ p) ≈ u + q + K over any of the oracle's tables, with or
+    without a multiplicative zero: u an odd or even cycle or a cover of the
+    variables by words plus a few more, K shared words, q the product of
+    u's variables, perhaps dropping or repeating a letter or gaining one, w,
+    that no other word has, and perhaps a word p on the other side only,
+    so that a word can be settled on one side alone and both sides can
+    have open one-sided words; the sides in either order. Half of them,
+    over tables of two or more elements, have more than NAME_ORDER_LEAVES
+    leaves, so a failing one fixes its witness in name order by further
+    runs."""
+    s = draw(st.sampled_from(_oracle_algebras()))
+    commutative = s.mul_commutes and draw(st.booleans())
+    if s.size > 1 and draw(st.booleans()):
+        k = next(k for k in itertools.count(1) if s.size**k > NAME_ORDER_LEAVES)
+    else:
+        k = draw(st.integers(2, 4))
+    names = draw(st.permutations([f"x{i}" for i in range(k)]))
+    word = st.lists(st.sampled_from(names), min_size=1, max_size=3).map(tuple)
+    if draw(st.booleans()):
+        u = [(names[i], names[(i + 1) % k]) for i in range(k)]
+    else:
+        cuts = sorted(draw(st.sets(st.integers(1, k - 1))))
+        u = [tuple(names[a:b]) for a, b in zip([0, *cuts], [*cuts, k])]
+        u += draw(st.lists(word, max_size=2))
+    q = list(draw(st.permutations(names)))
+    i = draw(st.integers(0, k - 1))
+    q[i:i + 1] = draw(st.sampled_from(([q[i]], [], [q[i]] * 2, [q[i], "w"])))
+    shared = draw(st.lists(word, max_size=2))
+    sides = [u + shared + draw(st.lists(word, max_size=1)), u + [tuple(q)] + shared]
+    if draw(st.booleans()):
+        sides.reverse()
+    ident = Identity(Term(sides[0], commutative), Term(sides[1], commutative))
+    assume(not ident.is_trivial())
+    return s, ident
+
+
+class TestSettledWords:
+    """A subtree where every open word on one side only has a letter valued
+    the multiplicative zero, and the sums with the zero folded in agree,
+    is skipped; the answers stay those of the full scan."""
+
+    def test_tables_with_and_without_a_zero(self):
+        assert D2_S7.elements[D2_S7.multiplicative_zero] == "0.0"
+        zeros = {s.multiplicative_zero is None for s in _random_tables()}
+        assert zeros == {True, False}
+
+    @settings(max_examples=150, deadline=None)
+    @given(_settled_identities())
+    def test_settled_words_match_full_scan(self, case):
+        s, ident = case
+        old = _reference_scan(s, ident)
+        new = holds_bruteforce(s, ident)
+        assert (new.holds, new.witness, new.reason) == (old.holds, old.witness, old.reason)
+
+    @pytest.mark.parametrize("text", ["x0*x1 + w*x0*x1 == x0*x1", "x0*x1 == x0*x1 + w*x0*x1"])
+    def test_zero_joins_only_a_side_with_a_settled_word(self, text):
+        # w = z settles the one word with w, on one side only: z joins that
+        # side's sum and not the other's, or the skip passes falsifying leaves
+        for s in _oracle_algebras():
+            for commutative in {False, s.mul_commutes}:
+                ident = parse_identity(text, commutative)
+                old = _reference_scan(s, ident)
+                for new in _both_orders(s, ident):
+                    assert (new.holds, new.witness, new.reason) == (old.holds, old.witness, old.reason)
+
+    def test_zero_settles_the_witness(self):
+        # once a letter of q is ∞, both sides agree at every leaf below
+        for n in (4, 16, 50):
+            stats = holds_bruteforce(S7_0, make_witness(n).identity).stats
+            assert stats["nodes"] == 24 * n + 4 and stats["settled_pruned"] == 6 * n - 2
 
 
 class TestLift:

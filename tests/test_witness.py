@@ -94,7 +94,7 @@ class TestWitnessFacts:
     def test_forced_oracle(self):
         report = check_witness_facts(make_witness(4), force_oracle=True)
         assert report.check("oracle").passed is True
-        assert report.check("oracle").note == "1368 nodes visited"
+        assert report.check("oracle").note == "100 nodes visited"
 
     def test_hand_built_path_fails_its_facts(self):
         # a path x1-x2-x3, not an odd cycle: u ≈ u + q fails in S7_0
