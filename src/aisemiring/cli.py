@@ -268,10 +268,10 @@ def cmd_validate(args) -> int:
 
 
 def cmd_crossval(args) -> int:
-    syntactic = syntactic_decider(args.semiring)
+    # the semiring is loaded before its decider is looked up, as in check
     report = cross_validate(
         _valid_semiring(args.semiring),
-        syntactic,
+        syntactic_decider(args.semiring),
         samples=args.samples,
         seed=args.seed,
         max_vars=args.max_vars,

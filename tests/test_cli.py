@@ -99,6 +99,14 @@ class TestCheck:
         }
         assert "stats" not in doc["results"]["syntactic"]
 
+    def test_json_stats_in_report_order(self, capsys):
+        # dict equality ignores order; the printed keys follow ORACLE_STATS
+        _, out, _ = run(
+            capsys, "check", "--semiring", "S7_0", "--identity", "x^2+y == x^2+y+y^2", "--json"
+        )
+        stats = json.loads(out)["results"]["oracle"]["stats"]
+        assert list(stats) == ["nodes", "memo_hits", "top_pruned", "settled_pruned"]
+
     def test_lifted_check_searches_the_cover_once(self, capsys, searched):
         # u ≈ u+q on the 21-cycle: the one S7 component D ≈ D+q has D = u,
         # and the family of u+q follows from that of u
@@ -1216,6 +1224,29 @@ class TestCrossval:
         assert len(lines) == 4 + count
         for line in lines[4:]:
             assert re.fullmatch(r"  .+ == .+: syntactic=True oracle=False", line)
+
+    def test_semiring_file_failing_the_axioms(self, capsys, tmp_path):
+        # the file is loaded before the decider is looked up, as in check:
+        # a left-projection addition is idempotent but not commutative
+        path = tmp_path / "bad.json"
+        path.write_text(
+            '{"elements": ["a", "b"], "add": [["a", "a"], ["b", "b"]], "mul": [["a", "a"], ["a", "a"]]}',
+            encoding="utf-8",
+        )
+        for command in (("check", "--identity", "x == x"), ("crossval", "--samples", "1")):
+            code, out, err = run(capsys, command[0], "--semiring", str(path), *command[1:])
+            assert (code, out) == (2, "")
+            assert err == f"error: semiring file {path}: additive commutativity fails at (a, b)\n"
+
+    def test_unknown_semiring(self, capsys, tmp_path):
+        missing = str(tmp_path / "nope")
+        for command in (("check", "--identity", "x == x"), ("crossval", "--samples", "1")):
+            code, out, err = run(capsys, command[0], "--semiring", missing, *command[1:])
+            assert (code, out) == (2, "")
+            assert err == (
+                f"error: unknown semiring {missing!r}: not one of S7, S7_0, D2, trivial "
+                "and no such file\n"
+            )
 
     def test_requires_builtin_name(self, capsys, tmp_path):
         path = tmp_path / "s7.json"

@@ -30,7 +30,14 @@ from aisemiring import (
     random_identity,
     validate_ai_semiring,
 )
-from aisemiring.deciders import NAME_ORDER_LEAVES, _holds_trivial, _Search, _search_order, _word_plan
+from aisemiring.deciders import (
+    NAME_ORDER_LEAVES,
+    ORACLE_STATS,
+    _holds_trivial,
+    _Search,
+    _search_order,
+    _word_plan,
+)
 from aisemiring.terms import DELTA_WORK_CAP, fold_words
 
 S7 = builtin("S7")
@@ -115,6 +122,19 @@ class TestBruteForce:
     def test_trivial_identity_short_circuits(self):
         ident = parse_identity("x*y + z == z + x*y")
         assert holds_bruteforce(S7_0, ident).holds
+
+    @pytest.mark.parametrize("name", ["S7", "S7_0", "D2", "trivial"])
+    @pytest.mark.parametrize("commutative", [False, True])
+    def test_stats_keys_in_report_order(self, name, commutative):
+        # every verdict's stats keys are ORACLE_STATS in its order, so a
+        # JSON report prints them in that order; a trivial identity counts 0
+        assert ORACLE_STATS == ("nodes", "memo_hits", "top_pruned", "settled_pruned")
+        s = builtin(name)
+        trivial = holds_bruteforce(s, parse_identity("x*y + z == z + x*y", commutative))
+        assert list(trivial.stats.items()) == [(key, 0) for key in ORACLE_STATS]
+        searched = holds_bruteforce(s, parse_identity("x*y + z == x*y + z*x", commutative))
+        assert tuple(searched.stats) == ORACLE_STATS
+        assert searched.stats["nodes"] > 0
 
     def test_first_falsifying_assignment_is_deterministic(self):
         v = holds_bruteforce(S7_0, SQUARE_PADDING)
