@@ -226,7 +226,7 @@ def cmd_derive_search(args) -> int:
     doc = {
         "status": outcome.status,
         "explored": outcome.explored,
-        "bounds": {name: getattr(bounds, name) for name in bounds._fields},
+        "bounds": bounds.to_dict(),
         "chain": derivation.chain_to_dict(outcome.chain) if outcome.found else None,
         "stats": {"truncated_by": outcome.truncated_by, "matched": outcome.matched},
     }
@@ -256,7 +256,7 @@ def cmd_validate(args) -> int:
         _emit(
             args,
             [f"invalid: {out}"],
-            {"valid": False, "law": out.law, "witness": list(out.witness)},
+            {"valid": False, **out.to_dict()},
         )
         return 1
     _emit(

@@ -690,15 +690,6 @@ class CrossValReport(Record):
     def ok(self) -> bool:
         return not self.disagreements
 
-    def to_dict(self) -> dict:
-        return {
-            "semiring": self.semiring,
-            "samples": self.samples,
-            "seed": self.seed,
-            "bounds": self.bounds,
-            "disagreements": self.disagreements,
-        }
-
 
 def cross_validate(
     s: FiniteSemiring,

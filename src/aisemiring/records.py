@@ -3,12 +3,16 @@
 Record is the base of the package's value types. A subclass lists its
 fields in __slots__, in constructor order (names starting with an
 underscore hold caches or a __dict__ and are no fields), and writes its
-own __init__, setting each field with set_field. The base gives
-equality of same-class records by field values, a hash over them, the
-repr Name(field=value, ...), refusal of assignment and deletion, and
-pickling by the constructor. It generates no code, so importing it is
-cheap.
+own __init__, setting each field with set_field. For each subclass the
+base builds one getter, an operator.attrgetter over the fields, and
+equality of same-class records, their hash and pickling by the
+constructor all read the fields through it. The base also gives the
+repr Name(field=value, ...), to_dict (the fields by name, in slot order)
+and refusal of assignment and deletion. It generates no code, so
+importing it is cheap.
 """
+
+from operator import attrgetter
 
 # sets a slot past Record.__setattr__; bound once, as a lookup of
 # object.__setattr__ per field is a measurable share of construction
@@ -20,21 +24,25 @@ class Record:
 
     def __init_subclass__(cls):
         cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
+        # one C call reads every field: a tuple, or the value itself for
+        # one field; an attrgetter binds to no instance, so it is called
+        # as self._getter(record)
+        cls._getter = attrgetter(*cls._fields)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._values() == other._values()
+            return self._getter(self) == self._getter(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(self._getter(self))
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
+
+    def to_dict(self) -> dict:
+        return {name: getattr(self, name) for name in self._fields}
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -43,4 +51,5 @@ class Record:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
-        return type(self), self._values()
+        values = self._getter(self)
+        return type(self), values if len(self._fields) > 1 else (values,)

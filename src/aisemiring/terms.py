@@ -50,7 +50,7 @@ class Term(Record):
 
     # the fields are words and commutative; _word_set and _delta_sets are
     # filled on first use, so terms that never need them skip them
-    __slots__ = ("words", "commutative", "_hash", "_word_set", "_delta_sets")
+    __slots__ = ("words", "commutative", "_word_set", "_delta_sets")
 
     def __init__(self, words: Iterable[Word], commutative: bool = False):
         normalized = {tuple(sorted(w)) for w in words} if commutative else set(map(tuple, words))
@@ -63,7 +63,6 @@ class Term(Record):
         ordered.sort(key=len)
         set_field(self, "words", tuple(ordered))
         set_field(self, "commutative", commutative)
-        set_field(self, "_hash", hash((self.words, commutative)))
 
     @classmethod
     def single(cls, w: Word, commutative: bool = False) -> "Term":
@@ -76,16 +75,6 @@ class Term(Record):
             ws = frozenset(self.words)
             set_field(self, "_word_set", ws)
             return ws
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Term)
-            and self.commutative == other.commutative
-            and self.words == other.words
-        )
-
-    def __hash__(self):
-        return self._hash
 
     def __len__(self):
         return len(self.words)

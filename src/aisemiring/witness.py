@@ -96,10 +96,7 @@ class WitnessReport(Record):
         return {
             "n": self.n,
             "ok": self.ok,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "note": c.note}
-                for c in self.checks
-            ],
+            "checks": [c.to_dict() for c in self.checks],
         }
 
 
@@ -213,10 +210,7 @@ class ConditionReport(Record):
 
     def to_dict(self) -> dict:
         return {
-            "conditions": [
-                {"name": c.name, "passed": c.passed, "witness": c.witness}
-                for c in self.conditions
-            ],
+            "conditions": [c.to_dict() for c in self.conditions],
             "ok": self.ok,
             "delta": [sorted(z) for z in self.delta],
             "every_variable_covered": self.every_variable_covered,
@@ -264,18 +258,16 @@ def check_axiom_conditions(a: Term, b: Term) -> ConditionReport:
 
     # a subword is no longer and has no new letter; only pairs passing
     # both cheap tests compare letter multisets
-    violation = ""
     contents = [(w, frozenset(w)) for w in a.words]
-    for w1, s1 in contents:
-        for w2, s2 in contents:
-            if w1 != w2 and len(w1) <= len(w2) and s1 <= s2 and Counter(w1) <= Counter(w2):
-                violation = (
-                    f"{format_word(w1)} is a subword of the distinct word "
-                    f"{format_word(w2)}"
-                )
-                break
-        if violation:
-            break
+    violation = next(
+        (
+            f"{format_word(w1)} is a subword of the distinct word {format_word(w2)}"
+            for w1, s1 in contents
+            for w2, s2 in contents
+            if w1 != w2 and len(w1) <= len(w2) and s1 <= s2 and Counter(w1) <= Counter(w2)
+        ),
+        "",
+    )
     checks.append(ConditionCheck("c", not violation, violation))
 
     found = odd_cycle(term_graph(a, ignore_nonsimple=True))

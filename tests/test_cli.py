@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -1060,6 +1061,33 @@ class TestDerive:
         code, out, _ = run(capsys, "derive", "search", "--axioms", str(path), "--goal", goal)
         assert (code, out) == (0, report)
 
+    def test_verify_stops_a_step_too_large_to_build(self, capsys, tmp_path):
+        # x1*...*x8 with each xi mapped to a 12-word sum builds 12^8 words a
+        # side; the step is refused before any is built
+        xs = [f"x{i}" for i in range(1, 9)]
+        product = "*".join(xs)
+        axioms = tmp_path / "axioms.json"
+        axioms.write_text(
+            json.dumps({"axioms": [{"name": "big", "identity": f"{product} == {product}"}]}),
+            encoding="utf-8",
+        )
+        image = " + ".join(f"y{j}" for j in range(12))
+        chain = tmp_path / "chain.json"
+        chain.write_text(
+            json.dumps({
+                "start": "y0",
+                "steps": [{"axiom": "big", "direction": "forward", "phi": dict.fromkeys(xs, image)}],
+                "end": "y0",
+            }),
+            encoding="utf-8",
+        )
+        assert len(chain.read_bytes()) < 1024
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "derive", "verify", "--axioms", str(axioms), "--chain", str(chain))
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, out) == (2, "")
+        assert err == "error: capped by STEP_WORD_CAP: 248832 words or more to build, limit 100000\n"
+
     @pytest.mark.parametrize(
         "steps, message",
         [
@@ -1109,6 +1137,19 @@ class TestValidate:
         code, out, _ = run(capsys, "validate", "--semiring", str(path))
         assert code == 1
         assert "invalid" in out
+
+    def test_axiom_violation_json_bytes(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(
+            '{"elements": ["x", "y"], "add": [["x", "y"], ["x", "y"]], "mul": [["x", "x"], ["x", "x"]]}',
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "validate", "--semiring", str(path), "--json")
+        assert (code, err) == (1, "")
+        assert out == (
+            '{\n  "valid": false,\n  "law": "additive commutativity",\n'
+            '  "witness": [\n    "x",\n    "y"\n  ]\n}\n'
+        )
 
     def test_structural_junk_exits_two(self, capsys, tmp_path):
         path = tmp_path / "junk.json"
@@ -1203,6 +1244,15 @@ class TestCrossval:
         )
         assert code == 0
         assert "disagreements: 0" in out
+
+    def test_json_bytes(self, capsys):
+        code, out, err = run(capsys, "crossval", "--semiring", "S7_0", "--samples", "3", "--json")
+        assert (code, err) == (0, "")
+        assert out == (
+            '{\n  "semiring": "S7_0",\n  "samples": 3,\n  "seed": 0,\n  "bounds": {\n'
+            '    "max_vars": 4,\n    "max_words": 4,\n    "max_word_len": 4,\n'
+            '    "commutative": false\n  },\n  "disagreements": []\n}\n'
+        )
 
     def test_output_is_deterministic(self, capsys):
         args = ("crossval", "--semiring", "D2", "--samples", "150", "--seed", "3")

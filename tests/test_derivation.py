@@ -1,8 +1,11 @@
+import importlib.util
 import itertools
 import json
 import math
 import random
+import sys
 from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -15,6 +18,7 @@ from aisemiring import (
     DerivationStep,
     Identity,
     SearchBounds,
+    SizeLimitError,
     StepMismatch,
     Term,
     apply_step,
@@ -33,6 +37,7 @@ from aisemiring import (
     verify_chain,
 )
 from aisemiring import derivation
+from aisemiring.cli import main
 from aisemiring.derivation import (
     GUARDS,
     KEEP_SUBSET_LIMIT,
@@ -423,6 +428,56 @@ class TestApplyStep:
             out = apply_step(parse_term(source), s, SIGMA)
             assert not isinstance(out, StepMismatch), source
             assert parse_term(source).words[0] in out
+
+
+    def test_step_word_cap_counts_both_sides_and_the_contexts(self, monkeypatch):
+        sigma = AxiomSet([("swap", parse_identity("x*y == y*x"))])
+        phi = {"x": parse_term("a + b"), "y": parse_term("c + d")}
+        plain = DerivationStep("swap", "forward", phi)
+        # the left context doubles each side's words; the remainder is no product
+        wrapped = DerivationStep(
+            "swap", "backward", phi, left_context=parse_term("p + q"), remainder=parse_term("r + s + t")
+        )
+        for s, built in ((plain, 8), (wrapped, 16)):
+            monkeypatch.setattr(derivation, "STEP_WORD_CAP", built)
+            assert isinstance(apply_step(parse_term("a"), s, sigma), StepMismatch)
+            monkeypatch.setattr(derivation, "STEP_WORD_CAP", built - 1)
+            with pytest.raises(SizeLimitError) as info:
+                apply_step(parse_term("a"), s, sigma)
+            assert str(info.value) == (
+                f"capped by STEP_WORD_CAP: {built} words or more to build, limit {built - 1}"
+            )
+
+    def test_benchmark_derive_search_chains_stay_below_the_step_word_cap(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        spec = importlib.util.spec_from_file_location(
+            "bench_workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+        )
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+        spec.loader.exec_module(workloads)
+        largest = found = 0
+        for seed in (1, 7, 11):
+            where = tmp_path / str(seed)
+            where.mkdir()
+            for item in workloads.generate("derive-search", seed, where).items:
+                if item.expect["status"] != "found":
+                    continue
+                assert main(item.argv) == 0
+                chain = json.loads(capsys.readouterr().out)["chain"]
+                sigma = axioms_from_json(Path(item.expect["axioms"]).read_text(encoding="utf-8"))
+                for s in chain_from_json(json.dumps(chain)).steps:
+                    ident = sigma.get(s.axiom_name)
+                    wrap = math.prod(len(c) for c in (s.left_context, s.right_context) if c is not None)
+                    largest = max(largest, wrap * sum(
+                        math.prod(len(s.phi[x]) for x in w)
+                        for side in (ident.lhs, ident.rhs)
+                        for w in side.words
+                    ))
+                found += 1
+        assert found > 100
+        assert 0 < largest < derivation.STEP_WORD_CAP
 
 
 class TestVerifyChain:

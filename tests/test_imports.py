@@ -296,7 +296,8 @@ def test_every_size_limit_names_a_constant_of_its_module():
             assert not any(isinstance(v, ast.JoinedStr) for v in values), where
             guards.add(first.value)
     assert guards == {
-        "ORACLE_NODE_BUDGET", "DELTA_WORK_CAP", "ISO_CARRIER_CAP", "ORACLE_VARIABLE_LIMIT"
+        "ORACLE_NODE_BUDGET", "DELTA_WORK_CAP", "ISO_CARRIER_CAP", "ORACLE_VARIABLE_LIMIT",
+        "STEP_WORD_CAP",
     }
 
 

@@ -12,6 +12,7 @@ import pytest
 
 import aisemiring
 from aisemiring import (
+    AxiomSet,
     AxiomViolation,
     ChainVerdict,
     ConditionCheck,
@@ -38,6 +39,7 @@ from aisemiring import (
 T = Term([("x", "y")])
 U = Term([("x",), ("y", "y")])
 C = Term([("x1", "x2"), ("x2", "x3"), ("x1", "x3")], commutative=True)
+I = Identity(T, U)
 CHECK = FactCheck("odd-cycle", True, "length 3")
 COND = ConditionCheck("a", False, "x*x")
 
@@ -82,6 +84,15 @@ SPECS = [
         (T, U),
         (U, T),
         "Identity(lhs=Term('x*y'), rhs=Term('x + y^2'))",
+        True,
+    ),
+    (
+        AxiomSet,
+        ("axioms", "commutative"),
+        ((("sq", I),), False),
+        ((("sq", I), ("dup", I)), False),
+        "AxiomSet(axioms=(('sq', Identity(lhs=Term('x*y'), rhs=Term('x + y^2'))),), "
+        "commutative=False)",
         True,
     ),
     (
@@ -216,6 +227,7 @@ SPECS = [
 
 # (type, the required values, the defaults of the other fields in order)
 DEFAULTS = [
+    (AxiomSet, (), ((), False)),
     (Verdict, (True,), (None, None, None, None)),
     (CrossValReport, ("S7", 0, 1, {}), ([],)),
     (DerivationStep, ("sq", "forward", {}), (None, None, None)),
@@ -332,6 +344,38 @@ def test_validation_messages(build, message):
     with pytest.raises(ValueError) as info:
         build()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "cls", [CrossValReport, FactCheck, ConditionCheck, SearchBounds, AxiomViolation],
+    ids=lambda cls: cls.__name__,
+)
+def test_to_dict_is_the_fields_in_slot_order(cls):
+    _, names, values, *_ = next(spec for spec in SPECS if spec[0] is cls)
+    doc = cls(*values).to_dict()
+    assert list(doc) == list(names)
+    assert all(doc[name] is value for name, value in zip(names, values))
+
+
+def test_one_field_record_compares_and_hashes_by_its_field():
+    # the getter returns a one-field record's value itself, not a tuple
+    a, b = (Congruence(tuple(map(tuple, [[0, 1], [2]]))) for _ in range(2))
+    assert a.partition is not b.partition
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != Congruence(((0,), (1, 2)))
+    for bare in (a.partition, (a.partition,)):
+        assert a != bare and bare != a
+        assert a.__eq__(bare) is NotImplemented
+    assert pickle.loads(pickle.dumps(a)) == a
+
+
+def test_axiom_set_lookup_survives_copies():
+    sigma = AxiomSet([("sq", I), ("dup", Identity(U, T))])
+    for back in (pickle.loads(pickle.dumps(sigma)), copy.deepcopy(sigma)):
+        assert back.get("dup") == Identity(U, T)
+        assert list(back) == list(sigma.axioms) and len(back) == 2
+    # the name lookup is a cache, no field
+    assert AxiomSet([("sq", I)]) == AxiomSet((("sq", I),), False)
 
 
 def test_cached_values_stay_out_of_equality():

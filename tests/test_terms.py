@@ -131,6 +131,31 @@ class TestTermBasics:
         else:
             assert Term(ws, commutative).words == expected
 
+    @given(
+        st.lists(st.lists(st.sampled_from(("x", "y", "z")), min_size=1, max_size=3).map(tuple), min_size=1, max_size=5),
+        st.randoms(use_true_random=False),
+        st.booleans(),
+    )
+    def test_equality_and_hash_ignore_word_order_and_repeats(self, ws, rng, commutative):
+        shuffled = ws + rng.sample(ws, rng.randint(0, len(ws)))  # repeats some words
+        rng.shuffle(shuffled)
+        if commutative:  # letters reordered too
+            shuffled = [tuple(rng.sample(w, len(w))) for w in shuffled]
+        a, b = Term(ws, commutative), Term(shuffled, commutative)
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_never_equal_across_modes_or_to_non_terms(self):
+        for ws in ([("x",)], [("x", "y")], [("y",), ("x", "x")]):
+            plain, comm = Term(ws), Term(ws, commutative=True)
+            assert plain.words == comm.words
+            assert plain != comm and comm != plain
+            assert len({plain, comm}) == 2
+            for other in (plain.words, (plain.words, False), str(plain), Identity(plain, plain)):
+                assert plain != other and other != plain
+                assert plain.__eq__(other) is NotImplemented
+
     def test_identity_modes_must_match(self):
         with pytest.raises(ValueError):
             Identity(Term([("x",)], True), Term([("x",)], False))
