@@ -15,7 +15,6 @@ equal exactly when their letter multisets are.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from typing import Iterable, Mapping
 
 from .algebra import FiniteSemiring
@@ -24,8 +23,10 @@ from .records import Record, set_field
 
 Word = tuple[str, ...]
 
-# word visits of one delta_sets search: the largest witness, n = 4999, needs
-# 59,992 for u; 20 disjoint edges, with 2^20 delta sets, reach it after 41,662
+# steps of one delta_sets search (_exact_covers): the largest witness,
+# n = 4999, stops at the parity conflict of its odd cycle within its 9,999
+# words, long before the cap; 17 disjoint edges count 131,089 steps and list
+# 2^17 delta sets; 20 count 1,048,596 and raise before listing any
 DELTA_WORK_CAP = 250_000
 
 
@@ -174,100 +175,116 @@ def format_delta(members) -> str:
 
 
 def _exact_covers(u: Term) -> frozenset[frozenset[str]]:
-    """The delta family of u, by search.
+    """The delta family of u, by parity classes.
 
-    A member Z is an exact cover of the words of u by letters, a letter
-    covering the words it occurs in; a letter occurring twice in some word
-    is in no Z. An iterative Algorithm X (Knuth, "Dancing Links") branches
-    on the open word with the fewest letters left. Choosing a letter covers
-    its words and bans the other letters of those words, updating the
-    letter counts of the words they occur in, so a forced chain such as an
-    odd cycle costs linear work. Each word covered or recounted is one
-    word visit; past DELTA_WORK_CAP visits the search raises SizeLimitError.
-    Each branched word keeps its choice in one frame, and a cover is the
-    letters the frames hold when no word is open.
+    A member Z meets each word in exactly one letter occurrence, so a
+    letter occurring twice in some word is in no Z, and each word asks
+    that exactly one of its other letters, its candidates, be in Z. A word
+    with no candidate leaves the family empty, and a word with one puts
+    that letter in every member. A word with two says that exactly one of
+    them is in Z, a parity constraint: union-find with parity (Tarjan,
+    "Efficiency of a good but not linear set union algorithm", JACM 1975;
+    here the smaller class is relabelled) joins such letters into
+    classes, each letter keeping its parity against its class's root, so
+    a forced chain such as an odd cycle costs one pass. A two-letter word
+    whose letters already share a class with equal parity, or two forced
+    letters asking opposite values of one root, leave the family empty. Words of three or more candidates are then
+    solved over the class roots, one word at a time: each partial
+    assignment of the roots is extended in every way that puts exactly one
+    of the word's letters in Z, the roots it leaves unset choosing which.
+    Each surviving assignment gives one member per choice of the roots it
+    leaves free. The search steps are the words read, the classes a longer
+    word touches for each assignment it is checked against, the partial
+    assignments kept and the members to list; past DELTA_WORK_CAP steps
+    the search raises SizeLimitError, before it lists a family that would
+    pass it.
     """
     words = u.words
-    where: dict[str, list[int]] = {}  # letter -> the words it occurs in, once each
-    banned = set()
-    for i, w in enumerate(words):
-        counts = dict.fromkeys(w, 1) if is_linear(w) else Counter(w)
-        for x, k in counts.items():
-            if k > 1:
-                banned.add(x)
-            else:
-                where.setdefault(x, []).append(i)
-    for x in banned:
-        where.pop(x, None)
-    available = set(where)
-    left = [sum(x in available for x in w) for w in words]  # letters still available
-    by_left = [set() for _ in range(max(left) + 1)]  # open words by letters left
-    for i, c in enumerate(left):
-        by_left[c].add(i)
-    covered = [False] * len(words)
-    work = 0
-
-    def choose(x: str) -> list[str]:
-        nonlocal work
-        for i in where[x]:
-            by_left[left[i]].remove(i)
-            covered[i] = True
-        work += len(where[x])
-        gone = []
-        for i in where[x]:
-            for y in words[i]:
-                if y in available:
-                    available.remove(y)
-                    gone.append(y)
-                    for j in where[y]:
-                        if not covered[j]:
-                            by_left[left[j]].remove(j)
-                            by_left[left[j] - 1].add(j)
-                        left[j] -= 1
-                    work += len(where[y])
-        if work > DELTA_WORK_CAP:
-            raise SizeLimitError("DELTA_WORK_CAP", work, DELTA_WORK_CAP, "word visits")
-        return gone
-
-    def undo(x: str, gone: list[str]) -> None:
-        for y in reversed(gone):
-            available.add(y)
-            for j in where[y]:
-                left[j] += 1
-                if not covered[j]:
-                    by_left[left[j] - 1].remove(j)
-                    by_left[left[j]].add(j)
-        for i in where[x]:
-            covered[i] = False
-            by_left[left[i]].add(i)
-
-    found = []
-    # one frame per branched word: an iterator over its available letters,
-    # the letter chosen (None before the first choice or once all are tried)
-    # and the letters that choice banned
-    frames: list[list] = []
-    while True:
-        # the fewest letters left on an open word: None when no word is
-        # open, 0 at a dead end
-        c = next((c for c, b in enumerate(by_left) if b), None)
-        if c is None:
-            found.append([frame[1] for frame in frames])
-        elif c:
-            i = next(iter(by_left[c]))
-            frames.append([iter([y for y in words[i] if y in available]), None, None])
-        # take the next untried letter, backing up over exhausted words
-        while frames:
-            frame = frames[-1]
-            if frame[1] is not None:
-                undo(frame[1], frame[2])
-            x = frame[1] = next(frame[0], None)
-            if x is None:
-                frames.pop()
+    banned = {x for w in words if len(set(w)) < len(w) for x in w if w.count(x) > 1}
+    root: dict[str, str] = {}  # letter -> the root of its class
+    odd: dict[str, int] = {}  # letter -> 1 when it is in Z exactly when its root is not
+    members: dict[str, list[str]] = {}  # root -> the letters of its class
+    ones, longer = [], []
+    for w in words:
+        cand = [x for x in w if x not in banned] if banned else w
+        for x in cand:
+            if x not in root:
+                root[x], odd[x], members[x] = x, 0, [x]
+        n = len(cand)
+        if n == 2:
+            a, b = cand
+            ra, rb, flip = root[a], root[b], odd[a] ^ odd[b] ^ 1
+            if ra == rb:
+                if flip:
+                    return frozenset()
                 continue
-            frame[2] = choose(x)
-            break
+            if len(members[ra]) < len(members[rb]):
+                ra, rb = rb, ra
+            for x in members[rb]:
+                root[x] = ra
+                odd[x] ^= flip
+            members[ra] += members.pop(rb)
+        elif n == 1:
+            ones.append(cand[0])
+        elif n:
+            longer.append(cand)
         else:
-            return frozenset(map(frozenset, found))
+            return frozenset()
+    forced: dict[str, int] = {}  # root -> 1 (in Z) or 0
+    for x in ones:
+        r, v = root[x], 1 ^ odd[x]
+        if forced.setdefault(r, v) != v:
+            return frozenset()
+    work = len(words)
+    found = [forced]  # the partial assignments of the roots that survive
+    for cand in sorted(longer, key=len):
+        # root -> how many of the word's letters are in Z when its value is 0, and when 1
+        counts: dict[str, list[int]] = {}
+        for x in cand:
+            counts.setdefault(root[x], [0, 0])[1 ^ odd[x]] += 1
+        kept = []
+        for a in found:
+            need = 1 - sum(c[a[r]] for r, c in counts.items() if r in a)
+            unset = [(r, c) for r, c in counts.items() if r not in a]
+            zero = {r: c.index(0) for r, c in unset if 0 in c}  # the value putting none in Z
+            if need == 0:
+                choices = [zero] if len(zero) == len(unset) else []
+            elif need == 1:
+                # one unset root puts one letter in Z, every other one none
+                missing = [r for r, _ in unset if r not in zero]
+                choices = [
+                    {**zero, r: v}
+                    for r, c in unset
+                    if missing in ([], [r])
+                    for v in (0, 1)
+                    if c[v] == 1
+                ]
+            else:
+                choices = []
+            work += len(counts) + len(choices)
+            if work > DELTA_WORK_CAP:
+                raise SizeLimitError("DELTA_WORK_CAP", work, DELTA_WORK_CAP, "search steps")
+            kept += [{**a, **z} for z in choices[1:]]
+            if choices:  # no other word reads a, so the first choice extends it
+                a.update(choices[0])
+                kept.append(a)
+        if not kept:
+            return frozenset()
+        found = kept
+    # a partial assignment leaving f roots free gives 2^f members
+    work += sum(1 << (len(members) - len(a)) for a in found)
+    if work > DELTA_WORK_CAP:
+        raise SizeLimitError("DELTA_WORK_CAP", work, DELTA_WORK_CAP, "search steps")
+    sides = {r: ([], []) for r in members}  # root -> its letters by parity
+    for x, r in root.items():
+        sides[r][odd[x]].append(x)
+    family = []
+    for a in found:
+        fixed = [x for r, v in a.items() for x in sides[r][1 ^ v]]
+        free = [sides[r] for r in members if r not in a]
+        for pick in itertools.product(*free):
+            family.append(frozenset(itertools.chain(fixed, *pick)))
+    return frozenset(family)
 
 
 def filter_content_subset(u: Term, q: Word) -> frozenset[Word]:

@@ -38,7 +38,8 @@ from aisemiring.deciders import (
     _search_order,
     _word_plan,
 )
-from aisemiring.terms import DELTA_WORK_CAP, fold_words
+from aisemiring import terms
+from aisemiring.terms import fold_words
 
 S7 = builtin("S7")
 S7_0 = builtin("S7_0")
@@ -765,19 +766,33 @@ class TestShortcut:
         ident = random_identity(random.Random(seed), 4, 4, 4, commutative)
         assert holds_s7(ident).to_dict() == _holds_s7_two_searches(ident).to_dict()
 
-    def test_larger_side_past_the_cap_is_not_searched(self):
-        # 15 edges and their 15 reversals: a search on all 30 words passes
-        # the cap, one on the 15 edges does not, and both have 2^15 members
+    def test_larger_side_past_the_cap_is_not_searched(self, searched, monkeypatch):
+        # 15 edges and their 15 reversals both have 2^15 members; at a cap
+        # that the 15 edges' search (15 words, 2^15 members) just meets, a
+        # search on all 30 words passes it, and only the edges are searched,
+        # once, in either direction
         edges = Term([(f"a{i}", f"b{i}") for i in range(15)])
         both = Term(edges.words + tuple((y, x) for x, y in edges.words))
-        with pytest.raises(SizeLimitError) as caught:
-            delta_sets(Term(both.words))
-        assert caught.value.guard == "DELTA_WORK_CAP"
-        assert caught.value.limit == DELTA_WORK_CAP
-        assert caught.value.done > caught.value.limit
+        monkeypatch.setattr(terms, "DELTA_WORK_CAP", 15 + 2**15)
         assert holds_s7(Identity(edges, both)).holds
         assert holds_s7(Identity(both, edges)).holds
+        assert searched == [edges]
         assert len(delta_sets(edges)) == 2**15
+        with pytest.raises(SizeLimitError) as caught:
+            delta_sets(both)
+        assert caught.value.guard == "DELTA_WORK_CAP"
+        assert caught.value.done > caught.value.limit == 15 + 2**15
+
+    def test_sixteen_disjoint_edges_answer_as_the_oracle(self):
+        # 16 edges and their product: δ of the edges, 2^16 members, is listed
+        # in 16 + 2^16 steps, inside DELTA_WORK_CAP, and the verdict is the
+        # oracle's
+        edges = Term([(f"a{i}", f"b{i}") for i in range(16)])
+        ident = Identity(edges, edges.add_word(tuple(x for w in edges.words for x in w)))
+        assert not holds_bruteforce(S7_0, ident).holds
+        verdict = holds_s7_0(ident)
+        assert not verdict.holds
+        assert verdict.details["clause"] == "delta"
 
     @pytest.mark.parametrize(
         "text, commutative, sides",

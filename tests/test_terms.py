@@ -218,9 +218,10 @@ def delta_by_subsets(term: Term) -> frozenset[frozenset[str]]:
 
 
 def frozen_exact_covers(u: Term, cap: int) -> frozenset[frozenset[str]]:
-    """terms._exact_covers as it stood with an open-word counter and a list
-    of chosen letters beside its frames, kept frozen as the reference for
-    the frame-only search; cap stands for DELTA_WORK_CAP."""
+    """The iterative Algorithm X (Knuth, "Dancing Links") that listed delta
+    families before the parity-class search, with an open-word counter and a
+    list of chosen letters beside its frames, kept frozen as the family spec;
+    cap stands for DELTA_WORK_CAP, counted in word visits."""
     words = u.words
     where: dict[str, list[int]] = {}  # letter -> the words it occurs in, once each
     banned = set()
@@ -398,14 +399,24 @@ def small_scope_terms():
 
 class TestExactCoversMatchFrozenSearch:
     def assert_same(self, u, caps):
-        # the family at the real cap, then raise-or-not and the visits at
-        # each small cap
-        assert terms_module._exact_covers(u) == frozen_exact_covers(u, DELTA_WORK_CAP)
-        for cap in caps:
+        # the family at the real cap; at each smaller cap, in rising order,
+        # the same family or a raise past that cap, and once the search
+        # answers it answers at every larger cap
+        family = frozen_exact_covers(u, DELTA_WORK_CAP)
+        assert terms_module._exact_covers(u) == family
+        answered = False
+        for cap in sorted(caps):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(terms_module, "DELTA_WORK_CAP", cap)
                 new = covers_or_limit(terms_module._exact_covers, u)
-            assert new == covers_or_limit(lambda t: frozen_exact_covers(t, cap), u), cap
+            if isinstance(new, tuple):
+                assert not answered, cap
+                guard, done, limit = new
+                assert (guard, limit) == ("DELTA_WORK_CAP", cap)
+                assert done > cap
+            else:
+                assert new == family, cap
+                answered = True
 
     def test_every_term_of_a_small_scope(self):
         for u in small_scope_terms():
@@ -418,10 +429,15 @@ class TestExactCoversMatchFrozenSearch:
         self.assert_same(u, caps=range(8 * 2**k))
 
     def test_past_the_work_cap(self):
+        # 20 disjoint edges: both searches stop at the cap; the parity search
+        # counts its 20 words and 2^20 members before it lists any
         u = Term([(f"a{i}", f"b{i}") for i in range(20)])
-        new = covers_or_limit(terms_module._exact_covers, u)
-        assert new[0] == "DELTA_WORK_CAP"
-        assert new == covers_or_limit(lambda t: frozen_exact_covers(t, DELTA_WORK_CAP), u)
+        assert covers_or_limit(terms_module._exact_covers, u) == (
+            "DELTA_WORK_CAP", 20 + 2**20, DELTA_WORK_CAP
+        )
+        guard, done, limit = covers_or_limit(lambda t: frozen_exact_covers(t, DELTA_WORK_CAP), u)
+        assert (guard, limit) == ("DELTA_WORK_CAP", DELTA_WORK_CAP)
+        assert done > limit
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -430,6 +446,92 @@ class TestExactCoversMatchFrozenSearch:
     )
     def test_drawn_terms_and_caps(self, u, cap):
         self.assert_same(u, caps=(cap,))
+
+
+def cycle(k: int) -> list[tuple[str, str]]:
+    return [(f"v{i}", f"v{(i + 1) % k}") for i in range(k)]
+
+
+def disjoint_edges(k: int) -> list[tuple[str, str]]:
+    return [(f"a{i}", f"b{i}") for i in range(k)]
+
+
+class TestParityClasses:
+    """Structured terms for the parity-class search: two-letter words join
+    classes, one-letter words force a letter, longer words branch."""
+
+    @pytest.mark.parametrize("commutative", [False, True])
+    def test_odd_cycles_are_empty(self, commutative):
+        for k in range(3, 42, 2):
+            u = Term(cycle(k), commutative)
+            assert delta_sets(u) == frozenset() == frozen_exact_covers(u, DELTA_WORK_CAP)
+
+    @pytest.mark.parametrize("commutative", [False, True])
+    def test_even_cycles_are_their_two_colour_classes(self, commutative):
+        for k in range(4, 42, 2):
+            u = Term(cycle(k), commutative)
+            classes = {frozenset(f"v{i}" for i in range(p, k, 2)) for p in (0, 1)}
+            assert delta_sets(u) == classes == frozen_exact_covers(u, DELTA_WORK_CAP)
+
+    @pytest.mark.parametrize("commutative", [False, True])
+    def test_forced_letters_against_their_parity(self, commutative):
+        # x and y are each forced into Z, and x*y asks for exactly one
+        u = Term([("x",), ("y",), ("x", "y")], commutative)
+        assert delta_sets(u) == frozenset() == delta_by_subsets(u)
+
+    @pytest.mark.parametrize("commutative", [False, True])
+    def test_a_ban_from_one_word_empties_another(self, commutative):
+        # x0 occurs twice in x0^2*x2, so no member holds it, and none meets x0
+        u = Term([("x0",), ("x0", "x4"), ("x0", "x0", "x2"), ("x1", "x2", "x3")], commutative)
+        assert delta_sets(u) == frozenset() == delta_by_subsets(u)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_planted_sets(self, seed):
+        # edges from side A to side B covering both, plus longer words of one
+        # A letter and B letters, so that A is a member
+        rng = random.Random(seed)
+        k = rng.randint(6, 10)
+        side_a = [f"a{i}" for i in range(k // 2)]
+        side_b = [f"b{i}" for i in range(k - k // 2)]
+        words = [(side_a[i % len(side_a)], b) for i, b in enumerate(side_b)]
+        words += [(a, rng.choice(side_b)) for a in side_a]
+        words += [
+            (rng.choice(side_a), *rng.sample(side_b, rng.randint(2, 3)))
+            for _ in range(rng.randint(1, 4))
+        ]
+        for commutative in (False, True):
+            u = Term(rng.sample(words, len(words)), commutative)
+            family = delta_sets(u)
+            assert frozenset(side_a) in family
+            assert family == frozen_exact_covers(u, DELTA_WORK_CAP) == delta_by_subsets(u)
+
+    @pytest.mark.parametrize("k", range(1, 15))
+    def test_disjoint_edges_have_every_choice(self, k):
+        edges = disjoint_edges(k)
+        family = delta_sets(Term(edges))
+        assert len(family) == 2**k
+        assert family == set(map(frozenset, itertools.product(*edges)))
+
+    def test_each_check_of_a_longer_word_counts(self, monkeypatch):
+        # 70 orderings of 70 letters: the first leaves 70 partial assignments,
+        # and each later one checks its 70 classes against all of them, so the
+        # search passes the cap though it keeps only 70 assignments a word
+        rng = random.Random(0)
+        letters = [f"x{i}" for i in range(70)]
+        u = Term([tuple(rng.sample(letters, 70)) for _ in range(70)])
+        with pytest.raises(SizeLimitError) as caught:
+            delta_sets(u)
+        assert caught.value.done > caught.value.limit == DELTA_WORK_CAP
+        monkeypatch.setattr(terms_module, "DELTA_WORK_CAP", 400_000)
+        assert delta_sets(u) == {frozenset({x}) for x in letters}
+
+    def test_the_cap_falls_between_17_and_18_disjoint_edges(self):
+        # k edges cost k words read and 2^k members: 131,089 steps for 17,
+        # 262,162 for 18, counted before any member is listed
+        assert len(delta_sets(Term(disjoint_edges(17)))) == 2**17
+        with pytest.raises(SizeLimitError) as caught:
+            delta_sets(Term(disjoint_edges(18)))
+        assert (caught.value.done, caught.value.limit) == (18 + 2**18, DELTA_WORK_CAP)
 
 
 class TestSubstitute:
