@@ -98,10 +98,6 @@ class AxiomViolation(Record):
 
     __slots__ = ("law", "witness")
 
-    def __init__(self, law: str, witness: tuple[str, ...]):
-        set_field(self, "law", law)
-        set_field(self, "witness", witness)
-
     def __str__(self):
         return f"{self.law} fails at ({', '.join(self.witness)})"
 
@@ -110,9 +106,6 @@ class Congruence(Record):
     """A partition of the carrier compatible with both operations."""
 
     __slots__ = ("partition",)
-
-    def __init__(self, partition: tuple[tuple[int, ...], ...]):
-        set_field(self, "partition", partition)
 
     def block_of(self, i: int) -> int:
         try:
@@ -125,10 +118,6 @@ class CongruenceViolation(Record):
     """Compatibility counterexample: a ~ a' and b ~ b' but op(a,b) !~ op(a',b')."""
 
     __slots__ = ("operation", "witness")
-
-    def __init__(self, operation: str, witness: tuple[str, str, str, str]):
-        set_field(self, "operation", operation)
-        set_field(self, "witness", witness)
 
     def __str__(self):
         a, a2, b, b2 = self.witness

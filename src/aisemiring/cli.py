@@ -43,7 +43,7 @@ from .deciders import (
 )
 from .errors import SizeLimitError
 from .parsing import parse_identity, parse_term
-from .terms import delta_key, delta_sets, format_delta, format_word
+from .terms import delta_sets, format_delta, format_word
 
 
 def _read_text(path: str) -> str:
@@ -130,12 +130,11 @@ def cmd_check(args) -> int:
 
 def cmd_delta(args) -> int:
     term = parse_term(args.term, args.commutative)
-    family = sorted(delta_sets(term), key=delta_key)
-    _emit(
-        args,
-        [format_delta(family)],
-        {"term": str(term), "delta": [sorted(z) for z in family]},
-    )
+    # each member's letters are sorted once; ordering those lists and then
+    # stably by size gives the delta_key order
+    members = sorted(map(sorted, delta_sets(term)))
+    members.sort(key=len)
+    _emit(args, [format_delta(members)], {"term": str(term), "delta": members})
     return 0
 
 
@@ -161,17 +160,17 @@ def cmd_axiom_check(args) -> int:
     ident = _identity_arg(args.identity, args.commutative)
     report = witness.check_axiom_conditions(ident.lhs, ident.rhs)
     text = str(ident)
+    doc = {"identity": text}
+    doc.update(report.to_dict())
     lines = [f"identity: {text}"]
     for c in report.conditions:
         note = f" ({c.witness})" if c.witness else ""
         lines.append(f"({c.name}) {witness.CONDITION_TEXT[c.name]}: {_STATUS[c.passed]}{note}")
-    lines.append(f"delta(A): {format_delta(report.delta)}")
+    lines.append(f"delta(A): {format_delta(doc['delta'])}")
     lines.append(
         f"every variable covered: {'yes' if report.every_variable_covered else 'no'}"
     )
     lines.append(f"B within A: {'yes' if report.b_subset_a else 'no'}")
-    doc = {"identity": text}
-    doc.update(report.to_dict())
     _emit(args, lines, doc)
     return 0 if report.ok else 1
 

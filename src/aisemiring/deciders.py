@@ -550,12 +550,13 @@ def holds_s7(ident: Identity) -> Verdict:
     only_rhs = _unmet(ident.rhs, lw - rw)
     if only_lhs or only_rhs:
         separating = min(only_lhs + only_rhs, key=delta_key)
+        letters = sorted(separating)
         return Verdict(
             False,
-            reason=f"delta-set mismatch, separating set {format_delta([separating])}",
+            reason=f"delta-set mismatch, separating set {format_delta([letters])}",
             details={
                 "clause": "delta",
-                "separating": sorted(separating),
+                "separating": letters,
                 "in_lhs": separating in only_lhs,
             },
         )

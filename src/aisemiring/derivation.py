@@ -35,6 +35,9 @@ KEEP_SUBSET_LIMIT = 4
 # words one step of a chain may build by substitution and wrapping, over
 # both axiom sides: substituting 100,000 words takes about 0.17 s
 STEP_WORD_CAP = 100_000
+# words a whole chain may build, the steps' counts summed before the
+# first step is replayed: about a second of substitution
+CHAIN_WORD_CAP = 400_000
 
 
 class AxiomSet(Record):
@@ -106,10 +109,6 @@ class StepMismatch(Record):
 
     __slots__ = ("expected", "found")
 
-    def __init__(self, expected: Term, found: Term):
-        set_field(self, "expected", expected)
-        set_field(self, "found", found)
-
     def __str__(self):
         return f"step source is {self.expected}, term is {self.found}"
 
@@ -122,23 +121,19 @@ def _wrap(t: Term, step: DerivationStep) -> Term:
     return t
 
 
-def apply_step(t: Term, step: DerivationStep, sigma: AxiomSet) -> Term | StepMismatch:
-    """Apply one derivation step to t, or report the mismatch.
-
-    Raises ValueError for an unknown axiom, an uncovered substitution
-    domain, or mixed commutativity modes, and SizeLimitError for a step
-    that would build more than STEP_WORD_CAP words.
-    """
+def _sides(step: DerivationStep, sigma: AxiomSet) -> tuple[Term, Term]:
+    """The cited axiom's side the step matches, then the one it puts in."""
     ident = sigma.get(step.axiom_name)
-    if step.direction == FORWARD:
-        src, dst = ident.lhs, ident.rhs
-    else:
-        src, dst = ident.rhs, ident.lhs
+    return (ident.lhs, ident.rhs) if step.direction == FORWARD else (ident.rhs, ident.lhs)
 
-    given = [c for c in (step.left_context, step.right_context, step.remainder) if c is not None]
-    if any(p.commutative != t.commutative for p in (ident.lhs, *step.phi.values(), *given)):
-        raise ValueError("step ingredients must share the term's commutativity mode")
 
+def _words_to_build(step: DerivationStep, src: Term, dst: Term) -> int:
+    """Words that substituting both axiom sides by step.phi and wrapping
+    them in the step's contexts builds, whatever the current term; counting
+    stops past STEP_WORD_CAP, so that no product grows too large to print.
+
+    Raises ValueError when phi does not cover the axiom's variables.
+    """
     needed = content(src) | content(dst)
     missing = sorted(needed - set(step.phi))
     if missing:
@@ -146,8 +141,7 @@ def apply_step(t: Term, step: DerivationStep, sigma: AxiomSet) -> Term | StepMis
             f"substitution does not cover axiom variables: {', '.join(missing)}"
         )
     # a word of a side builds the product of its letters' image sizes, times
-    # the sizes of the contexts; counting stops past the cap, so that no
-    # product grows too large to print
+    # the sizes of the contexts
     wrap = math.prod(len(c) for c in (step.left_context, step.right_context) if c is not None)
     built = 0
     for w in itertools.chain(src.words, dst.words):
@@ -158,7 +152,25 @@ def apply_step(t: Term, step: DerivationStep, sigma: AxiomSet) -> Term | StepMis
                 break
         built += n
         if built > STEP_WORD_CAP:
-            raise SizeLimitError("STEP_WORD_CAP", built, STEP_WORD_CAP, "words or more to build")
+            break
+    return built
+
+
+def apply_step(t: Term, step: DerivationStep, sigma: AxiomSet) -> Term | StepMismatch:
+    """Apply one derivation step to t, or report the mismatch.
+
+    Raises ValueError for an unknown axiom, an uncovered substitution
+    domain, or mixed commutativity modes, and SizeLimitError for a step
+    that would build more than STEP_WORD_CAP words.
+    """
+    src, dst = _sides(step, sigma)
+    given = [c for c in (step.left_context, step.right_context, step.remainder) if c is not None]
+    if any(p.commutative != t.commutative for p in (src, *step.phi.values(), *given)):
+        raise ValueError("step ingredients must share the term's commutativity mode")
+
+    built = _words_to_build(step, src, dst)
+    if built > STEP_WORD_CAP:
+        raise SizeLimitError("STEP_WORD_CAP", built, STEP_WORD_CAP, "words or more to build")
 
     expected = _wrap(substitute(step.phi, src), step)
     result = _wrap(substitute(step.phi, dst), step)
@@ -173,11 +185,6 @@ def apply_step(t: Term, step: DerivationStep, sigma: AxiomSet) -> Term | StepMis
 class DerivationChain(Record):
     __slots__ = ("start", "steps", "end")
 
-    def __init__(self, start: Term, steps: tuple[DerivationStep, ...], end: Term):
-        set_field(self, "start", start)
-        set_field(self, "steps", steps)
-        set_field(self, "end", end)
-
 
 class ChainVerdict(Record):
     """failing_index counts steps; len(steps) marks the final comparison."""
@@ -191,7 +198,24 @@ class ChainVerdict(Record):
 
 
 def verify_chain(chain: DerivationChain, sigma: AxiomSet) -> ChainVerdict:
-    """Replay every step from chain.start and compare with chain.end."""
+    """Replay every step from chain.start and compare with chain.end.
+
+    Raises SizeLimitError, before any step is replayed, for a chain whose
+    steps would build more than CHAIN_WORD_CAP words in all. The sum stops
+    at the first step whose axiom, substitution or size apply_step refuses,
+    as the replay stops there at the latest.
+    """
+    built = 0
+    for step in chain.steps:
+        try:
+            n = _words_to_build(step, *_sides(step, sigma))
+        except ValueError:
+            break
+        if n > STEP_WORD_CAP:
+            break
+        built += n
+        if built > CHAIN_WORD_CAP:
+            raise SizeLimitError("CHAIN_WORD_CAP", built, CHAIN_WORD_CAP, "words or more to build")
     t = chain.start
     for i, step in enumerate(chain.steps):
         out = apply_step(t, step, sigma)

@@ -10,26 +10,18 @@ from __future__ import annotations
 
 from collections import deque
 
-from .records import Record, set_field
+from .records import Record
 from .terms import Term
 
 
 class TermGraph(Record):
     __slots__ = ("vertices", "edges")
 
-    def __init__(self, vertices: frozenset[str], edges: frozenset[frozenset[str]]):
-        set_field(self, "vertices", vertices)
-        set_field(self, "edges", edges)
-
 
 class OddCycleSearch(Record):
     """Outcome of the 2-coloring: exactly one of cycle / coloring is set."""
 
     __slots__ = ("cycle", "coloring")
-
-    def __init__(self, cycle: list[str] | None, coloring: dict[str, int] | None):
-        set_field(self, "cycle", cycle)
-        set_field(self, "coloring", coloring)
 
     @property
     def bipartite(self) -> bool:

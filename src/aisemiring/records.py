@@ -2,14 +2,16 @@
 
 Record is the base of the package's value types. A subclass lists its
 fields in __slots__, in constructor order (names starting with an
-underscore hold caches or a __dict__ and are no fields), and writes its
-own __init__, setting each field with set_field. For each subclass the
-base builds one getter, an operator.attrgetter over the fields, and
-equality of same-class records, their hash and pickling by the
-constructor all read the fields through it. The base also gives the
-repr Name(field=value, ...), to_dict (the fields by name, in slot order)
-and refusal of assignment and deletion. It generates no code, so
-importing it is cheap.
+underscore hold caches or a __dict__ and are no fields). The base's
+__init__ stores each field given exactly once, by position in slot
+order, then by keyword, with no defaults; a subclass with defaults,
+validation, normalisation or a hot path writes its own, setting each
+field with set_field. For each subclass the base builds one getter, an
+operator.attrgetter over the fields, and equality of same-class records,
+their hash and pickling by the constructor all read the fields through
+it. The base also gives the repr Name(field=value, ...), to_dict (the
+fields by name, in slot order) and refusal of assignment and deletion.
+It generates no code, so importing it is cheap.
 """
 
 from operator import attrgetter
@@ -28,6 +30,20 @@ class Record:
         # one field; an attrgetter binds to no instance, so it is called
         # as self._getter(record)
         cls._getter = attrgetter(*cls._fields)
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        # with the count right, each later field a keyword leaves no other
+        if len(args) + len(kwargs) == len(fields):
+            for name, value in zip(fields, args):
+                set_field(self, name, value)
+            try:
+                for name in fields[len(args):]:
+                    set_field(self, name, kwargs[name])
+                return
+            except KeyError:
+                pass
+        raise TypeError(f"{type(self).__name__} takes the fields {', '.join(fields)}")
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -166,12 +166,12 @@ def delta_key(z: frozenset[str]) -> tuple:
     return (len(z), sorted(z))
 
 
-def format_delta(members) -> str:
-    """Render delta set members, in the given order, as {a,b}; {c}; an
-    empty list as (empty)."""
+def format_delta(members: list[list[str]]) -> str:
+    """Render delta set members, each given as its sorted letters, in the
+    given order, as {a,b}; {c}; an empty list as (empty)."""
     if not members:
         return "(empty)"
-    return "; ".join("{" + ",".join(sorted(z)) + "}" for z in members)
+    return "; ".join("{" + ",".join(z) + "}" for z in members)
 
 
 def _exact_covers(u: Term) -> frozenset[frozenset[str]]:

@@ -20,7 +20,6 @@ from .records import Record, set_field
 from .terms import (
     Identity,
     Term,
-    Word,
     content,
     delta_key,
     delta_sets,
@@ -38,11 +37,6 @@ class WitnessPair(Record):
     x1..x(2n+1), q is the product of all 2n+1 variables."""
 
     __slots__ = ("n", "u", "q")
-
-    def __init__(self, n: int, u: Term, q: Word):
-        set_field(self, "n", n)
-        set_field(self, "u", u)
-        set_field(self, "q", q)
 
     @property
     def identity(self) -> Identity:
@@ -76,10 +70,6 @@ class FactCheck(Record):
 
 class WitnessReport(Record):
     __slots__ = ("n", "checks")
-
-    def __init__(self, n: int, checks: tuple[FactCheck, ...]):
-        set_field(self, "n", n)
-        set_field(self, "checks", checks)
 
     @property
     def ok(self) -> bool:
@@ -183,20 +173,6 @@ class ConditionReport(Record):
     family of A and the two deductions the conditions feed."""
 
     __slots__ = ("conditions", "delta", "every_variable_covered", "b_subset_a", "cycle")
-
-    def __init__(
-        self,
-        conditions: tuple[ConditionCheck, ...],
-        delta: tuple[frozenset[str], ...],
-        every_variable_covered: bool,
-        b_subset_a: bool,
-        cycle: list[str] | None,
-    ):
-        set_field(self, "conditions", conditions)
-        set_field(self, "delta", delta)
-        set_field(self, "every_variable_covered", every_variable_covered)
-        set_field(self, "b_subset_a", b_subset_a)
-        set_field(self, "cycle", cycle)
 
     @property
     def ok(self) -> bool:

@@ -39,6 +39,7 @@ from aisemiring.cli import (
     cmd_witness,
     main,
 )
+from aisemiring.terms import delta_key, delta_sets
 
 
 def run(capsys, *argv):
@@ -743,6 +744,17 @@ class TestDelta:
         _, out, _ = run(capsys, "delta", "--term", "x*y + y*z", "--json")
         assert json.loads(out)["delta"] == [["y"], ["x", "z"]]
 
+    def test_members_in_delta_key_order(self, capsys):
+        # by size first, then letters sorted as strings: x10 before x9
+        term = "x2*x9 + x2*x10 + x2*x1*x11"
+        family = sorted(delta_sets(parse_term(term)), key=delta_key)
+        members = [sorted(z) for z in family]
+        assert members == [["x2"], ["x1", "x10", "x9"], ["x10", "x11", "x9"]]
+        _, out, _ = run(capsys, "delta", "--term", term)
+        assert out == "{x2}; {x1,x10,x9}; {x10,x11,x9}\n"
+        _, out, _ = run(capsys, "delta", "--term", term, "--json")
+        assert json.loads(out)["delta"] == members
+
     def test_work_bound_exits_two(self, capsys):
         # 20 disjoint edges: 2^20 delta sets
         term = " + ".join(f"a{i}*b{i}" for i in range(20))
@@ -1087,6 +1099,31 @@ class TestDerive:
         assert time.perf_counter() - t0 < 1.0
         assert (code, out) == (2, "")
         assert err == "error: capped by STEP_WORD_CAP: 248832 words or more to build, limit 100000\n"
+
+    def test_verify_stops_a_chain_too_large_to_build(self, capsys, tmp_path):
+        # y == x1*...*x5 forward and back, 20 times: each step builds
+        # 1 + 9^4 * 7 words, under STEP_WORD_CAP, but the chain is refused
+        # before its first step once nine steps pass CHAIN_WORD_CAP
+        xs = [f"x{i}" for i in range(1, 6)]
+        axioms = tmp_path / "axioms.json"
+        axioms.write_text(
+            json.dumps({"axioms": [{"name": "long", "identity": f"y == {'*'.join(xs)}"}]}),
+            encoding="utf-8",
+        )
+        phi = {x: " + ".join(f"{x}a{j}" for j in range(9 if x != "x5" else 7)) for x in xs}
+        phi["y"] = "s"
+        steps = [
+            {"axiom": "long", "direction": direction, "phi": phi}
+            for _ in range(10) for direction in ("forward", "backward")
+        ]
+        chain = tmp_path / "chain.json"
+        chain.write_text(json.dumps({"start": "s", "steps": steps, "end": "s"}), encoding="utf-8")
+        assert len(chain.read_bytes()) < 10_000
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "derive", "verify", "--axioms", str(axioms), "--chain", str(chain))
+        assert time.perf_counter() - t0 < 0.5
+        assert (code, out) == (2, "")
+        assert err == "error: capped by CHAIN_WORD_CAP: 413352 words or more to build, limit 400000\n"
 
     @pytest.mark.parametrize(
         "steps, message",

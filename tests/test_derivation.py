@@ -513,6 +513,58 @@ class TestVerifyChain:
         assert not verdict.ok
         assert verdict.failing_index == 1
 
+    def test_chain_word_cap_sums_the_steps_before_any_is_replayed(self, monkeypatch):
+        # each step builds x, x and x*x: one word each, as phi(x) is one word
+        chain = self.two_step_chain()
+        monkeypatch.setattr(derivation, "CHAIN_WORD_CAP", 6)
+        assert verify_chain(chain, SIGMA).ok
+        monkeypatch.setattr(derivation, "CHAIN_WORD_CAP", 5)
+        with mock.patch.object(derivation, "apply_step") as replay:
+            with pytest.raises(SizeLimitError) as info:
+                verify_chain(chain, SIGMA)
+        replay.assert_not_called()
+        assert str(info.value) == "capped by CHAIN_WORD_CAP: 6 words or more to build, limit 5"
+
+    def test_chain_word_cap_stops_at_the_first_refused_step(self, monkeypatch):
+        # the replay stops at a step citing an unknown axiom or past
+        # STEP_WORD_CAP, so the steps after it do not count; the sum does not
+        # raise for the unknown axiom, which a mismatch before it hides
+        s1, s2 = self.two_step_chain().steps
+        t = parse_term("x*y")
+        monkeypatch.setattr(derivation, "CHAIN_WORD_CAP", 5)
+        wrong = DerivationStep("ax1", "forward", {"x": parse_term("z")})
+        unknown = DerivationStep("nope", "forward", {"x": t})
+        verdict = verify_chain(DerivationChain(t, (wrong, unknown, s1, s2), t), SIGMA)
+        assert (verdict.ok, verdict.failing_index) == (False, 0)
+        monkeypatch.setattr(derivation, "STEP_WORD_CAP", 2)
+        with pytest.raises(SizeLimitError, match="capped by STEP_WORD_CAP: 3 words"):
+            verify_chain(DerivationChain(t, (s1, s2), t), SIGMA)
+
+    def test_benchmark_derive_search_chains_stay_far_below_the_chain_word_cap(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        spec = importlib.util.spec_from_file_location(
+            "bench_workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+        )
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+        spec.loader.exec_module(workloads)
+        totals = []
+        for seed in (1, 7, 11):
+            where = tmp_path / str(seed)
+            where.mkdir()
+            for item in workloads.generate("derive-search", seed, where).items:
+                if item.expect["status"] != "found":
+                    continue
+                assert main(item.argv) == 0
+                chain = chain_from_json(json.dumps(json.loads(capsys.readouterr().out)["chain"]))
+                sigma = axioms_from_json(Path(item.expect["axioms"]).read_text(encoding="utf-8"))
+                totals.append(sum(
+                    derivation._words_to_build(s, *derivation._sides(s, sigma)) for s in chain.steps
+                ))
+        assert len(totals) > 100
+        assert 0 < max(totals) < derivation.CHAIN_WORD_CAP // 1000
+
     def test_empty_chain(self):
         t = parse_term("x*y")
         assert verify_chain(DerivationChain(t, (), t), SIGMA).ok

@@ -297,7 +297,7 @@ def test_every_size_limit_names_a_constant_of_its_module():
             guards.add(first.value)
     assert guards == {
         "ORACLE_NODE_BUDGET", "DELTA_WORK_CAP", "ISO_CARRIER_CAP", "ORACLE_VARIABLE_LIMIT",
-        "STEP_WORD_CAP",
+        "STEP_WORD_CAP", "CHAIN_WORD_CAP",
     }
 
 

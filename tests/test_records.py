@@ -238,6 +238,13 @@ DEFAULTS = [
     (ConditionCheck, ("x", True), ("",)),
 ]
 
+# the records with no constructor of their own: Record.__init__ stores
+# their fields
+PLAIN = {
+    AxiomViolation, Congruence, CongruenceViolation, StepMismatch, DerivationChain,
+    TermGraph, OddCycleSearch, WitnessPair, WitnessReport, ConditionReport,
+}
+
 ids = [spec[0].__name__ for spec in SPECS]
 
 
@@ -252,6 +259,26 @@ class TestRecordContract:
             assert getattr(by_keyword, name) is value
         with pytest.raises(TypeError):
             cls(*values, None)
+
+    def test_each_field_is_given_exactly_once(self, cls, names, values, other, text, hashable):
+        last = len(names) - 1
+        mixed = cls(*values[:last], **{names[last]: values[last]})
+        assert mixed == cls(*values)
+        defaults = next((d[2] for d in DEFAULTS if d[0] is cls), ())
+        required = len(names) - len(defaults)
+        wrong = [
+            lambda: cls(*values, unknown=None),
+            lambda: cls(*values, **{names[0]: values[0]}),
+        ]
+        if last:  # the right count, but the first field twice and the last not
+            wrong.append(lambda: cls(*values[:last], **{names[0]: values[0]}))
+        if required:  # the last field without a default left out
+            wrong.append(lambda: cls(*values[:required - 1]))
+        for build in wrong:
+            with pytest.raises(TypeError) as info:
+                build()
+            if cls in PLAIN:
+                assert str(info.value) == f"{cls.__name__} takes the fields {', '.join(names)}"
 
     def test_equality(self, cls, names, values, other, text, hashable):
         a, b = cls(*values), cls(*values)
@@ -284,6 +311,11 @@ class TestRecordContract:
 
     def test_repr(self, cls, names, values, other, text, hashable):
         assert repr(cls(*values)) == text
+
+
+def test_only_the_plain_records_use_the_shared_constructor():
+    own = {spec[0] for spec in SPECS if "__init__" in vars(spec[0])}
+    assert {spec[0] for spec in SPECS} - own == PLAIN
 
 
 @pytest.mark.parametrize("cls, required, defaults", DEFAULTS, ids=[d[0].__name__ for d in DEFAULTS])

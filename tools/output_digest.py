@@ -10,7 +10,8 @@ aisemiring.cli.main, once without --json and once with it. The temporary
 directory's path is replaced by a fixed token in stdout and stderr, and
 the script prints the number of calls and one SHA-256 over their exit
 codes, stdout and stderr. Two checkouts that print the same line answer
-every call the same; the seconds taken go to stderr.
+every call the same. The number of calls that raised an exception and
+the seconds taken go to stderr; the exit code is 1 if any call raised.
 """
 
 from __future__ import annotations
@@ -34,9 +35,11 @@ TOKEN = "<inputs>"
 
 
 def run(main, argv: list[str]) -> tuple:
-    """(exit code, stdout, stderr) of one in-process call; an exception is
-    reported by its type and message, which do not name the checkout."""
+    """(exit code, stdout, stderr, raised) of one in-process call; an
+    exception is reported by its type and message, which do not name the
+    checkout, and raised is whether there was one."""
     out, err = io.StringIO(), io.StringIO()
+    raised = False
     try:
         with redirect_stdout(out), redirect_stderr(err):
             rc = main(argv)
@@ -44,17 +47,19 @@ def run(main, argv: list[str]) -> tuple:
         rc = f"exit {exc.code}"
     except Exception as exc:  # a crash is an answer to compare, not to stop at
         rc = f"{type(exc).__name__}: {exc}"
-    return rc, out.getvalue(), err.getvalue()
+        raised = True
+    return rc, out.getvalue(), err.getvalue(), raised
 
 
-def digest(root: Path) -> tuple[int, str]:
+def digest(root: Path) -> tuple[int, str, int]:
+    """(calls, SHA-256 of their answers, calls that raised)."""
     src = (root / "src").resolve()
     sys.path.insert(0, str(src))
     from aisemiring import cli
 
     if Path(cli.__file__).resolve().parents[1] != src:
         raise SystemExit(f"imported {cli.__file__}, not the source under {src}")
-    sha, calls = hashlib.sha256(), 0
+    sha, calls, crashes = hashlib.sha256(), 0, 0
     with tempfile.TemporaryDirectory(prefix="digest-") as tmp:
         for name in WORKLOADS:
             for seed in SEEDS:
@@ -63,11 +68,12 @@ def digest(root: Path) -> tuple[int, str]:
                 for item in generate(name, seed, where).items:
                     argv = [a for a in item.argv if a != "--json"]
                     for json_flag in ([], ["--json"]):
-                        rc, out, err = run(cli.main, argv + json_flag)
+                        rc, out, err, raised = run(cli.main, argv + json_flag)
                         text = f"{rc}\0{out}\0{err}\0".replace(tmp, TOKEN)
                         sha.update(text.encode("utf-8"))
                         calls += 1
-    return calls, sha.hexdigest()
+                        crashes += raised
+    return calls, sha.hexdigest(), crashes
 
 
 def main(argv=None) -> int:
@@ -75,10 +81,11 @@ def main(argv=None) -> int:
     parser.add_argument("root", nargs="?", type=Path, default=HERE, help="source checkout")
     args = parser.parse_args(argv)
     t0 = perf_counter()
-    calls, hexdigest = digest(args.root)
+    calls, hexdigest, crashes = digest(args.root)
     print(f"{calls} calls, sha256 {hexdigest}")
+    print(f"{crashes} calls raised an exception", file=sys.stderr)
     print(f"{perf_counter() - t0:.1f} s", file=sys.stderr)
-    return 0
+    return 1 if crashes else 0
 
 
 if __name__ == "__main__":
