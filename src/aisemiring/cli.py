@@ -79,6 +79,8 @@ def _identity_arg(value: str, commutative: bool):
 
 
 def _emit(args, lines: list[str], doc: dict) -> None:
+    """doc under --json, else the text lines; a command whose lines cost
+    work builds them only without --json."""
     if args.json:
         print(_json_text(doc))
     else:
@@ -134,7 +136,8 @@ def cmd_delta(args) -> int:
     # stably by size gives the delta_key order
     members = sorted(map(sorted, delta_sets(term)))
     members.sort(key=len)
-    _emit(args, [format_delta(members)], {"term": str(term), "delta": members})
+    lines = [] if args.json else [format_delta(members)]
+    _emit(args, lines, {"term": str(term), "delta": members})
     return 0
 
 
@@ -145,13 +148,15 @@ def cmd_witness(args) -> int:
     pair = witness.make_witness(args.n)
     report = witness.check_witness_facts(pair, force_oracle=args.oracle)
     u, q = str(pair.u), format_word(pair.q)
-    lines = [f"witness n={pair.n}", f"u = {u}", f"q = {q}"]
-    for c in report.checks:
-        note = f" ({c.note})" if c.note else ""
-        lines.append(f"{c.name}: {_STATUS[c.passed]}{note}")
-    lines.append(f"overall: {'pass' if report.ok else 'fail'}")
     doc = {"u": u, "q": q}
     doc.update(report.to_dict())
+    lines = []
+    if not args.json:
+        lines = [f"witness n={pair.n}", f"u = {u}", f"q = {q}"]
+        for c in report.checks:
+            note = f" ({c.note})" if c.note else ""
+            lines.append(f"{c.name}: {_STATUS[c.passed]}{note}")
+        lines.append(f"overall: {'pass' if report.ok else 'fail'}")
     _emit(args, lines, doc)
     return 0 if report.ok else 1
 
@@ -162,15 +167,17 @@ def cmd_axiom_check(args) -> int:
     text = str(ident)
     doc = {"identity": text}
     doc.update(report.to_dict())
-    lines = [f"identity: {text}"]
-    for c in report.conditions:
-        note = f" ({c.witness})" if c.witness else ""
-        lines.append(f"({c.name}) {witness.CONDITION_TEXT[c.name]}: {_STATUS[c.passed]}{note}")
-    lines.append(f"delta(A): {format_delta(doc['delta'])}")
-    lines.append(
-        f"every variable covered: {'yes' if report.every_variable_covered else 'no'}"
-    )
-    lines.append(f"B within A: {'yes' if report.b_subset_a else 'no'}")
+    lines = []
+    if not args.json:
+        lines = [f"identity: {text}"]
+        for c in report.conditions:
+            note = f" ({c.witness})" if c.witness else ""
+            lines.append(f"({c.name}) {witness.CONDITION_TEXT[c.name]}: {_STATUS[c.passed]}{note}")
+        lines.append(f"delta(A): {format_delta(doc['delta'])}")
+        lines.append(
+            f"every variable covered: {'yes' if report.every_variable_covered else 'no'}"
+        )
+        lines.append(f"B within A: {'yes' if report.b_subset_a else 'no'}")
     _emit(args, lines, doc)
     return 0 if report.ok else 1
 

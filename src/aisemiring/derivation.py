@@ -5,11 +5,12 @@ remainder. Chains of steps are verified exactly.
 search_derivation is a breadth-first loop over states that are word
 sets. Its step relation is one object, _StepSpace, built from the axioms,
 the goal and the bounds: the pool of the goal's subwords, the images and
-contexts drawn from it, each axiom's substitution list (built as words
-when the search first reaches the axiom, read in both directions), and
-the counts of the guards that cut the space and of the matches found.
-Absence is reported as exhausted or truncated, naming those guards; Term
-and DerivationStep objects are built only for the returned chain.
+contexts drawn from it, each axiom's substitution list (read in both
+directions, and built as word sets only as far as a scan or a step reads
+it), and the counts of the guards that cut the space and of the matches
+found. Absence is reported as exhausted or truncated, naming those
+guards; Term and DerivationStep objects are built only for the returned
+chain.
 """
 
 from __future__ import annotations
@@ -352,15 +353,80 @@ def _factor_index(
     return index
 
 
+# what _factor_index gives a word that is no middle of a state's words
+_NO_PAIRS: frozenset = frozenset()
+
+
+def _image(phi: Mapping[str, tuple], words: Iterable[Word], mode: bool) -> frozenset[Word]:
+    """The words of phi(side), in commutative mode with sorted letters."""
+    out = image_words(phi, words)
+    return frozenset(tuple(sorted(w)) for w in out) if mode else frozenset(out)
+
+
+class _Substitutions:
+    """One axiom's substitution list, in product order over the images.
+
+    An entry is [phi, the words of phi(lhs), the words of phi(rhs)], the
+    sides as unsorted word sets. The list grows only as far as a scan has
+    read it, and an entry's phi(rhs) is None until a forward step reads
+    it or complete() is called."""
+
+    __slots__ = ("lhs", "rhs", "mode", "variables", "entries", "pending", "whole")
+
+    def __init__(self, ident: Identity, variables: list[str], assignments: Iterator, mode: bool):
+        self.lhs, self.rhs, self.mode = ident.lhs.words, ident.rhs.words, mode
+        self.variables = variables
+        self.entries: list[list] = []
+        # the product iterator, None once every entry is built
+        self.pending: Iterator | None = assignments
+        # whether every entry has its phi(rhs)
+        self.whole = False
+
+    def scan(self) -> Iterable[list]:
+        """The entries in order: the list itself once it is complete, else
+        a generator that builds each entry the first time it is read."""
+        return self.entries if self.pending is None else self._grow()
+
+    def _grow(self) -> Iterator[list]:
+        entries, pending, k = self.entries, self.pending, 0
+        while True:
+            if k == len(entries):
+                picks = next(pending, None)
+                if picks is None:
+                    self.pending = None
+                    return
+                phi = dict(zip(self.variables, picks))
+                entries.append([phi, _image(phi, self.lhs, self.mode), None])
+            yield entries[k]
+            k += 1
+
+    def right_image(self, entry: list) -> frozenset[Word]:
+        """The entry's phi(rhs) words, built the first time they are read."""
+        if entry[2] is None:
+            entry[2] = _image(entry[0], self.rhs, self.mode)
+        return entry[2]
+
+    def complete(self) -> list[list]:
+        """Every entry, each with its phi(rhs): the list backward scans read."""
+        if not self.whole:
+            for entry in self.scan():
+                self.right_image(entry)
+            self.whole = True
+        return self.entries
+
+
 class _StepSpace:
     """The step relation of one search, built from (sigma, goal, bounds).
 
     The pool is the goal's contiguous subwords of at most max_word_len
     letters; images are the first SUBSTITUTION_CAP + 1 combinations of
     at most max_image_words pool words, and contexts are absent or one
-    pool word. Each axiom's substitutions are built into one list, (phi,
-    the words of phi(lhs), the words of phi(rhs)) in Term order, the first
-    time neighbors reaches the axiom, and both directions read it. A step
+    pool word. Each axiom has one substitution list (_Substitutions), made
+    when neighbors first reaches the axiom and read in both directions.
+    It grows in product order only as far as a forward scan reads it, so a
+    search that finds its goal partway through the first scan builds no
+    later entry; an entry's phi(rhs) is built when a forward step reads
+    it, or for every entry just before the first backward scan. A step
     matches a substituted side against the factorizations p·m·q of a
     state's words, and its remainder keeps the unmatched words plus any
     subset of the matched ones. fired counts the guards that cut the space
@@ -386,29 +452,16 @@ class _StepSpace:
         self.images = list(itertools.islice(combos, SUBSTITUTION_CAP + 1))
         # contexts: none, then the pool words in pool order
         self.affixes: list[Word] = [()] + pool
-        self.tables: dict[str, list[tuple]] = {}
+        self.tables: dict[str, _Substitutions] = {}
 
-    def _substitutions(self, ident: Identity) -> list[tuple]:
+    def _substitutions(self, ident: Identity) -> _Substitutions:
         variables = sorted(content(ident.lhs) | content(ident.rhs))
         assignments = itertools.product(self.images, repeat=len(variables))
         if len(self.images) ** len(variables) > SUBSTITUTION_CAP:
             # counted per direction: both read the cut list
             self.fired["SUBSTITUTION_CAP"] += 2
             assignments = itertools.islice(assignments, SUBSTITUTION_CAP)
-        entries = []
-        for picks in assignments:
-            phi = dict(zip(variables, picks))
-            sides = [phi]
-            for side in (ident.lhs, ident.rhs):
-                words = image_words(phi, side.words)
-                if self.mode:
-                    words = {tuple(sorted(w)) for w in words}
-                # sorted by letters, then stably by length: the word_key order
-                ordered = sorted(words)
-                ordered.sort(key=len)
-                sides.append(tuple(ordered))
-            entries.append(tuple(sides))
-        return entries
+        return _Substitutions(ident, variables, assignments, self.mode)
 
     def neighbors(self, t_words: frozenset[Word]) -> Iterator[tuple[tuple, frozenset[Word]]]:
         """(name, direction, phi, i, j, remainder words) and the result's
@@ -419,30 +472,34 @@ class _StepSpace:
         gives one state whatever it keeps: it yields one successor, with
         the unmatched words as remainder, however many words it matched,
         and a rejection counts once per keep subset; KEEP_SUBSET_LIMIT
-        counts only the other steps. The substitution lists built on first
-        reach run image_words, which takes a one-letter word's image words
-        as they are."""
+        counts only the other steps. Substituted sides are built by
+        image_words, which takes a one-letter word's image words as they
+        are, only when a scan or a step reads them."""
         mode, affixes, fired, tables = self.mode, self.affixes, self.fired, self.tables
         max_words, max_word_len = self.bounds.max_words, self.bounds.max_word_len
         index = _factor_index(t_words, mode, self.pool_index)
         for name, ident in self.sigma:
-            entries = tables.get(name)
-            if entries is None:
-                entries = tables[name] = self._substitutions(ident)
+            subs = tables.get(name)
+            if subs is None:
+                subs = tables[name] = self._substitutions(ident)
             for direction, src_at, dst_at in ((FORWARD, 1, 2), (BACKWARD, 2, 1)):
+                entries = subs.scan() if direction == FORWARD else subs.complete()
                 for entry in entries:
                     src_words = entry[src_at]
-                    pairs = index.get(src_words[0])
-                    for w in src_words[1:]:
+                    pairs = None
+                    for w in src_words:
+                        found = index.get(w, _NO_PAIRS)
+                        pairs = found if pairs is None else pairs & found
                         if not pairs:
                             break
-                        pairs = pairs & index.get(w, set())
                     if not pairs:
                         continue
                     phi, dst_words = entry[0], entry[dst_at]
+                    if dst_words is None:  # a forward step reads phi(rhs) first
+                        dst_words = subs.right_image(entry)
                     # wrapping in contexts is injective on words, so the
                     # matched words lie in the base iff src_words lie in dst_words
-                    expanding = set(src_words).issubset(dst_words)
+                    expanding = src_words <= dst_words
                     for i, j in sorted(pairs):
                         self.matched += 1
                         before, after = affixes[i], affixes[j]

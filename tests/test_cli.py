@@ -729,6 +729,29 @@ class TestHashSeedDeterminism:
         assert outputs("1") == first
 
 
+class TestJsonBuildsNoText:
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["delta", "--term", "x*y + y*z"], 0),
+            (["witness", "--n", "2"], 0),
+            (["axiom-check", "--identity", "x*y == x*y + x*y*x*y"], 0),
+        ],
+    )
+    def test_json_reports_format_no_text_line(self, capsys, monkeypatch, argv, code):
+        # the text report's delta line and pass/fail words are the parts
+        # that only text output reads
+        expected = run(capsys, *argv, "--json")
+
+        def no_text(*args):
+            raise AssertionError("a text line was built under --json")
+
+        monkeypatch.setattr("aisemiring.cli.format_delta", no_text)
+        monkeypatch.setattr("aisemiring.cli._STATUS", {})
+        assert run(capsys, *argv, "--json") == expected
+        assert expected[0] == code and json.loads(expected[1])
+
+
 class TestDelta:
     def test_spec_shape(self, capsys):
         code, out, _ = run(capsys, "delta", "--term", "x*y + y*z")

@@ -369,6 +369,89 @@ def _frozen_substitutions(space, ident):
     return entries
 
 
+def _built_list(space, ident):
+    """The substitution list space makes for ident, read to its end with
+    both sides built: (phi, phi(lhs) words, phi(rhs) words), each side a set."""
+    return [(phi, set(lhs), set(rhs)) for phi, lhs, rhs in space._substitutions(ident).complete()]
+
+
+class _EagerStepSpace(_StepSpace):
+    """_StepSpace as it stood before its substitution lists grew lazily:
+    each axiom's whole list, both sides as word_key-sorted tuples, built
+    the first time neighbors reaches the axiom, and scanned as a list."""
+
+    def _substitutions(self, ident):
+        variables = sorted(content(ident.lhs) | content(ident.rhs))
+        assignments = itertools.product(self.images, repeat=len(variables))
+        if len(self.images) ** len(variables) > derivation.SUBSTITUTION_CAP:
+            self.fired["SUBSTITUTION_CAP"] += 2
+            assignments = itertools.islice(assignments, derivation.SUBSTITUTION_CAP)
+        entries = []
+        for picks in assignments:
+            phi = dict(zip(variables, picks))
+            sides = [phi]
+            for side in (ident.lhs, ident.rhs):
+                words = derivation.image_words(phi, side.words)
+                if self.mode:
+                    words = {tuple(sorted(w)) for w in words}
+                sides.append(tuple(sorted(words, key=word_key)))
+            entries.append(tuple(sides))
+        return entries
+
+    def neighbors(self, t_words):
+        mode, affixes, fired, tables = self.mode, self.affixes, self.fired, self.tables
+        max_words, max_word_len = self.bounds.max_words, self.bounds.max_word_len
+        index = derivation._factor_index(t_words, mode, self.pool_index)
+        for name, ident in self.sigma:
+            entries = tables.get(name)
+            if entries is None:
+                entries = tables[name] = self._substitutions(ident)
+            for direction, src_at, dst_at in (("forward", 1, 2), ("backward", 2, 1)):
+                for entry in entries:
+                    src_words = entry[src_at]
+                    pairs = index.get(src_words[0])
+                    for w in src_words[1:]:
+                        if not pairs:
+                            break
+                        pairs = pairs & index.get(w, set())
+                    if not pairs:
+                        continue
+                    phi, dst_words = entry[0], entry[dst_at]
+                    expanding = set(src_words).issubset(dst_words)
+                    for i, j in sorted(pairs):
+                        self.matched += 1
+                        before, after = affixes[i], affixes[j]
+                        matched = [before + w + after for w in src_words]
+                        base = [before + w + after for w in dst_words]
+                        if mode:
+                            matched = [tuple(sorted(w)) for w in matched]
+                            base = [tuple(sorted(w)) for w in base]
+                        rest = t_words.difference(matched)
+                        weight = 1
+                        if expanding:
+                            keep_space = [()]
+                            weight = 1 << len(matched)
+                        elif len(matched) > KEEP_SUBSET_LIMIT:
+                            fired["KEEP_SUBSET_LIMIT"] += 1
+                            keep_space = [()]
+                        else:
+                            ordered = sorted(matched, key=word_key)
+                            keep_space = [
+                                c
+                                for size in range(len(matched) + 1)
+                                for c in itertools.combinations(ordered, size)
+                            ]
+                        for keep in keep_space:
+                            r_words = rest.union(keep)
+                            words = r_words.union(base)
+                            if len(words) > max_words:
+                                fired["max_words"] += weight
+                            elif max(map(len, words)) > max_word_len:
+                                fired["max_word_len"] += weight
+                            else:
+                                yield (name, direction, phi, i, j, r_words), words
+
+
 def step(axiom="ax1", direction="forward", phi=None, **kw):
     return DerivationStep(axiom, direction, phi or {"x": parse_term("y*z")}, **kw)
 
@@ -997,6 +1080,34 @@ class TestMatchingSearch:
         assert p == 7
         assert spy.call_count == 2 * (p + p**2)
 
+    @pytest.mark.parametrize(
+        "goal, status, explored, p, built",
+        [
+            # absent: the start state's scans read both lists to their ends
+            # in both directions, so every side of every entry is built:
+            # 2 * (p + p**2)
+            ("a*b == b*a + a", "absent-truncated", 6, 4, 40),
+            # found at comm's second forward entry, phi = {x: b, y: c}: sq's
+            # whole list with both sides (2 * p), then comm's phi(lhs) of
+            # (b, b) and (b, c) and the phi(rhs) of the matching (b, c), where
+            # the whole lists would take 2 * (p + p**2) = 60
+            ("b*c + d == c*b + d", "found", 1, 5, 13),
+        ],
+    )
+    def test_substituted_sides_built_as_read(self, goal, status, explored, p, built):
+        sigma = AxiomSet(
+            [("sq", parse_identity("x == x + x*x")), ("comm", parse_identity("x*y == y*x"))]
+        )
+        goal = parse_identity(goal)
+        bounds = SearchBounds(max_depth=2, max_words=4, max_word_len=4)
+        with mock.patch.object(
+            derivation, "image_words", wraps=derivation.image_words
+        ) as spy:
+            outcome = search_derivation(sigma, goal, bounds)
+        assert (outcome.status, outcome.explored) == (status, explored)
+        assert len(_candidate_words(goal, bounds)) == p
+        assert spy.call_count == built
+
 
 def _random_sigma(data, commutative):
     """1-3 axioms over 1-3 variables each, sides of 1-2 short words."""
@@ -1115,7 +1226,7 @@ class TestWordSetSearch:
             whole.images = every
             assert kept.images == every[: derivation.SUBSTITUTION_CAP + 1]
             for _, ident in sigma:
-                assert kept._substitutions(ident) == whole._substitutions(ident)
+                assert _built_list(kept, ident) == _built_list(whole, ident)
         assert kept.fired == whole.fired
 
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -1147,8 +1258,54 @@ class TestWordSetSearch:
         with mock.patch.object(derivation, "SUBSTITUTION_CAP", data.draw(st.integers(1, 40))):
             new, frozen = _StepSpace(sigma, goal, bounds), _StepSpace(sigma, goal, bounds)
             for _, ident in sigma:
-                assert new._substitutions(ident) == _frozen_substitutions(frozen, ident)
+                assert _built_list(new, ident) == [
+                    (phi, set(lhs), set(rhs)) for phi, lhs, rhs in _frozen_substitutions(frozen, ident)
+                ]
         assert new.fired == frozen.fired
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_neighbors_yield_as_the_eager_lists(self, data):
+        # the same steps in the same order, and the same counts after each,
+        # as the frozen eager build, over a breadth-first search that stops
+        # at its first found state; a read limit stops each state's scan
+        # early, so that a later scan resumes a list left partly built
+        commutative = data.draw(st.booleans())
+        sigma = _random_sigma(data, commutative)
+        bounds = SearchBounds(
+            max_depth=data.draw(st.integers(1, 3)),
+            max_words=data.draw(st.integers(2, 6)),
+            max_word_len=data.draw(st.integers(1, 4)),
+            max_image_words=data.draw(st.integers(1, 2)),
+        )
+        word = st.lists(st.sampled_from("abc"), min_size=1, max_size=3)
+        side = st.lists(word, min_size=1, max_size=3)
+        goal = Identity(Term(data.draw(side), commutative), Term(data.draw(side), commutative))
+        reads = data.draw(st.one_of(st.none(), st.integers(1, 4)))
+        target = goal.rhs.word_set()
+        with mock.patch.object(derivation, "SUBSTITUTION_CAP", data.draw(st.integers(1, 60))):
+            new, eager = _StepSpace(sigma, goal, bounds), _EagerStepSpace(sigma, goal, bounds)
+            frontier = [goal.lhs.word_set()]
+            seen = set(frontier)
+            for _ in range(bounds.max_depth):
+                next_frontier = []
+                for t_words in frontier:
+                    # zip_longest reads both to their ends, or to the limit
+                    steps = itertools.zip_longest(
+                        itertools.islice(new.neighbors(t_words), reads),
+                        itertools.islice(eager.neighbors(t_words), reads),
+                    )
+                    for got, want in steps:
+                        assert got == want
+                        assert (new.fired, new.matched) == (eager.fired, eager.matched)
+                        if got[1] == target:
+                            return
+                        if got[1] not in seen:
+                            seen.add(got[1])
+                            next_frontier.append(got[1])
+                    assert (new.fired, new.matched) == (eager.fired, eager.matched)
+                frontier = next_frontier
+        assert (new.fired, new.matched) == (eager.fired, eager.matched)
 
     @pytest.mark.parametrize(
         "axioms, goal, bounds, truncated_by, explored, matched",

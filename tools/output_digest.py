@@ -10,8 +10,10 @@ aisemiring.cli.main, once without --json and once with it. The temporary
 directory's path is replaced by a fixed token in stdout and stderr, and
 the script prints the number of calls and one SHA-256 over their exit
 codes, stdout and stderr. Two checkouts that print the same line answer
-every call the same. The number of calls that raised an exception and
-the seconds taken go to stderr; the exit code is 1 if any call raised.
+every call the same. One such line per workload, the number of calls
+that raised an exception and the seconds taken go to stderr, so that a
+changed answer points to its workload; the exit code is 1 if any call
+raised.
 """
 
 from __future__ import annotations
@@ -51,8 +53,9 @@ def run(main, argv: list[str]) -> tuple:
     return rc, out.getvalue(), err.getvalue(), raised
 
 
-def digest(root: Path) -> tuple[int, str, int]:
-    """(calls, SHA-256 of their answers, calls that raised)."""
+def digest(root: Path) -> tuple[int, str, int, dict[str, tuple[int, str]]]:
+    """(calls, SHA-256 of their answers, calls that raised, and each
+    workload's (calls, SHA-256 of its answers))."""
     src = (root / "src").resolve()
     sys.path.insert(0, str(src))
     from aisemiring import cli
@@ -60,8 +63,10 @@ def digest(root: Path) -> tuple[int, str, int]:
     if Path(cli.__file__).resolve().parents[1] != src:
         raise SystemExit(f"imported {cli.__file__}, not the source under {src}")
     sha, calls, crashes = hashlib.sha256(), 0, 0
+    per_workload = {}
     with tempfile.TemporaryDirectory(prefix="digest-") as tmp:
         for name in WORKLOADS:
+            own, own_calls = hashlib.sha256(), 0
             for seed in SEEDS:
                 where = Path(tmp) / f"{name}-{seed}"
                 where.mkdir()
@@ -71,9 +76,12 @@ def digest(root: Path) -> tuple[int, str, int]:
                         rc, out, err, raised = run(cli.main, argv + json_flag)
                         text = f"{rc}\0{out}\0{err}\0".replace(tmp, TOKEN)
                         sha.update(text.encode("utf-8"))
+                        own.update(text.encode("utf-8"))
                         calls += 1
+                        own_calls += 1
                         crashes += raised
-    return calls, sha.hexdigest(), crashes
+            per_workload[name] = own_calls, own.hexdigest()
+    return calls, sha.hexdigest(), crashes, per_workload
 
 
 def main(argv=None) -> int:
@@ -81,8 +89,10 @@ def main(argv=None) -> int:
     parser.add_argument("root", nargs="?", type=Path, default=HERE, help="source checkout")
     args = parser.parse_args(argv)
     t0 = perf_counter()
-    calls, hexdigest, crashes = digest(args.root)
+    calls, hexdigest, crashes, per_workload = digest(args.root)
     print(f"{calls} calls, sha256 {hexdigest}")
+    for name, (n, own) in per_workload.items():
+        print(f"{name}: {n} calls, sha256 {own}", file=sys.stderr)
     print(f"{crashes} calls raised an exception", file=sys.stderr)
     print(f"{perf_counter() - t0:.1f} s", file=sys.stderr)
     return 1 if crashes else 0
