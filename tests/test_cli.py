@@ -66,18 +66,19 @@ class TestCheck:
         assert "agreement: yes" in out
 
     def test_holding_identity_exits_zero(self, capsys):
-        code, out, _ = run(
-            capsys,
-            "check",
-            "--semiring",
-            "S7",
-            "--identity",
-            "x^2+y == x^2*y^2",
-            "--method",
-            "both",
-        )
-        assert code == 0
-        assert "agreement: yes" in out
+        for identity in ("x^2+y == x^2*y^2", "x*y == y*x"):
+            code, out, _ = run(
+                capsys,
+                "check",
+                "--semiring",
+                "S7",
+                "--identity",
+                identity,
+                "--method",
+                "both",
+            )
+            assert code == 0
+            assert "oracle: holds\nsyntactic: holds\nagreement: yes\n" in out
 
     def test_json_report(self, capsys):
         code, out, _ = run(
@@ -754,14 +755,20 @@ class TestJsonBuildsNoText:
 
 class TestDelta:
     def test_spec_shape(self, capsys):
-        code, out, _ = run(capsys, "delta", "--term", "x*y + y*z")
-        assert code == 0
-        assert out.strip() == "{y}; {x,z}"
+        # a path and an even cycle: the members are the two colour classes
+        for term, family in (
+            ("x*y + y*z", "{y}; {x,z}"),
+            ("a*b + b*c + c*d + d*e + e*f + f*a", "{a,c,e}; {b,d,f}"),
+        ):
+            code, out, _ = run(capsys, "delta", "--term", term)
+            assert (code, out) == (0, f"{family}\n")
 
     def test_empty_family(self, capsys):
-        code, out, _ = run(capsys, "delta", "--term", "x^2 + y")
-        assert code == 0
-        assert out.strip() == "(empty)"
+        # a square bans x; an odd cycle has no proper two-colouring
+        odd25 = " + ".join(f"v{i}*v{(i + 1) % 25}" for i in range(25))
+        for term in ("x^2 + y", odd25):
+            code, out, _ = run(capsys, "delta", "--term", term)
+            assert (code, out) == (0, "(empty)\n")
 
     def test_json(self, capsys):
         _, out, _ = run(capsys, "delta", "--term", "x*y + y*z", "--json")
@@ -779,12 +786,12 @@ class TestDelta:
         assert json.loads(out)["delta"] == members
 
     def test_work_bound_exits_two(self, capsys):
-        # 20 disjoint edges: 2^20 delta sets
+        # 20 disjoint edges: 2^20 delta sets, counted with the 20 words read
+        # before any is listed
         term = " + ".join(f"a{i}*b{i}" for i in range(20))
         code, out, err = run(capsys, "delta", "--term", term)
-        assert code == 2
-        assert not out
-        assert "cap" in err
+        assert (code, out) == (2, "")
+        assert err == "error: capped by DELTA_WORK_CAP: 1048596 search steps, limit 250000\n"
 
 
 class TestWitness:
@@ -796,12 +803,13 @@ class TestWitness:
             assert f"{name}: pass" in out
 
     def test_n7_with_oracle(self, capsys):
-        # 4^15 assignments: beyond the old assignment cap; the zero settles
-        # every subtree where a letter of q is ∞
-        code, out, _ = run(capsys, "witness", "--n", "7", "--oracle")
-        assert code == 0
-        assert "oracle: pass (172 nodes visited)" in out
-        assert "overall: pass" in out
+        # 4^15 assignments for n = 7: beyond the old assignment cap; the zero
+        # settles every subtree where a letter of q is ∞, so n = 40 takes
+        # 964 nodes, 16,056 without that skip
+        for n, nodes in ((7, 172), (40, 964)):
+            code, out, _ = run(capsys, "witness", "--n", str(n), "--oracle")
+            assert code == 0
+            assert f"oracle: pass ({nodes} nodes visited)\noverall: pass\n" in out
 
     def test_oracle_skip_is_visible(self, capsys):
         code, out, _ = run(capsys, "witness", "--n", "4")
@@ -845,18 +853,23 @@ class TestAxiomCheck:
         )
         assert code == 1
         assert "(d) the length-2 words form no odd cycle: fail" in out
+        # the plain triangle: its cycle is listed from the ends of the
+        # conflicting edge up to their common ancestor
+        code, out, _ = run(
+            capsys, "axiom-check", "--identity", "x*y + y*z + x*z == x*y + y*z + x*z"
+        )
+        assert code == 1
+        assert "(d) the length-2 words form no odd cycle: fail (y -> x -> z)\n" in out
 
     def test_passing_conditions(self, capsys):
-        code, out, _ = run(
-            capsys,
-            "axiom-check",
-            "--identity",
-            "x1*x2 + x2*x3 == x1*x2",
-            "--commutative",
-        )
-        assert code == 0
-        assert "every variable covered: yes" in out
-        assert "B within A: yes" in out
+        for argv in (
+            ["x1*x2 + x2*x3 == x1*x2", "--commutative"],
+            ["x*y + y*z == x*y + y*z"],
+        ):
+            code, out, _ = run(capsys, "axiom-check", "--identity", *argv)
+            assert code == 0
+            assert "every variable covered: yes" in out
+            assert "B within A: yes" in out
 
     def test_inline_identity_longer_than_a_file_name(self, capsys):
         lhs = " + ".join(["x1*x2", "x2*x3"] * 30)
@@ -989,32 +1002,67 @@ class TestDerive:
         assert doc["stats"]["truncated_by"]["max_depth"] >= 1
 
     def test_verify_round_trip_through_files(self, capsys, tmp_path, axioms_file):
+        # the second chain's step has a left and a right context and a
+        # remainder, each written by search and read back by verify
+        comm = tmp_path / "comm.json"
+        comm.write_text(
+            json.dumps({"axioms": [{"name": "comm", "identity": "x*y == y*x"}]}), encoding="utf-8"
+        )
         chain_path = tmp_path / "chain.json"
-        code, out, _ = run(
-            capsys,
-            "derive",
-            "search",
-            "--axioms",
-            axioms_file,
-            "--goal",
-            "x*y == x*y + x*y*x*y",
-            "--json",
+        for axioms, goal, verified in (
+            (axioms_file, "x*y == x*y + x*y*x*y", "1 step(s) from x*y to x*y + x*y*x*y"),
+            (str(comm), "d*a*b*e + c == d*b*a*e + c", "1 step(s) from c + d*a*b*e to c + d*b*a*e"),
+        ):
+            code, out, _ = run(capsys, "derive", "search", "--axioms", axioms, "--goal", goal, "--json")
+            assert code == 0
+            chain_path.write_text(json.dumps(json.loads(out)["chain"]), encoding="utf-8")
+            code, out, _ = run(
+                capsys, "derive", "verify", "--axioms", axioms, "--chain", str(chain_path)
+            )
+            assert (code, out) == (0, f"verified: {verified}\n")
+
+    @pytest.mark.parametrize(
+        "axioms, goal, bounds, status, explored, truncated_by, matched",
+        [
+            # expanding steps over max_word_len count once per keep subset
+            (
+                [("sq", "x == x + x*x"), ("dup", "x + y == x + y + x*y")],
+                "a*b == b*a",
+                ["--max-depth", "2", "--max-words", "4", "--max-len", "4"],
+                "absent-truncated",
+                4,
+                {"max_word_len": 28, "max_depth": 7},
+                56,
+            ),
+            # an expanding match of more than KEEP_SUBSET_LIMIT words cuts
+            # nothing, so this search is exhausted, not truncated
+            (
+                [("ax", "a + b + c + d + e == a + b + c + d + e + a")],
+                "x1 + x2 + x3 + x4 + x5 == x1 + x2 + x3 + x4",
+                [],
+                "absent-exhausted",
+                1,
+                {},
+                6250,
+            ),
+        ],
+        ids=["truncated", "exhausted"],
+    )
+    def test_search_json_reports_how_absence_ended(
+        self, capsys, tmp_path, axioms, goal, bounds, status, explored, truncated_by, matched
+    ):
+        path = tmp_path / "axioms.json"
+        path.write_text(
+            json.dumps({"axioms": [{"name": n, "identity": i} for n, i in axioms]}),
+            encoding="utf-8",
         )
+        code, out, err = run(
+            capsys, "derive", "search", "--axioms", str(path), "--goal", goal, *bounds, "--json"
+        )
+        assert (code, err) == (1, "")
         doc = json.loads(out)
-        chain_path.write_text(
-            json.dumps(doc["chain"]), encoding="utf-8"
-        )
-        code, out, _ = run(
-            capsys,
-            "derive",
-            "verify",
-            "--axioms",
-            axioms_file,
-            "--chain",
-            str(chain_path),
-        )
-        assert code == 0
-        assert "verified" in out
+        assert (doc["status"], doc["explored"], doc["chain"]) == (status, explored, None)
+        assert doc["stats"] == {"truncated_by": truncated_by, "matched": matched}
 
     def test_verify_rejects_broken_chain(self, capsys, tmp_path, axioms_file):
         chain_path = tmp_path / "chain.json"
@@ -1182,6 +1230,13 @@ class TestValidate:
         assert code == 0
         assert "valid ai-semiring: 2 element(s)" in out
 
+    def test_builtin_name_json_bytes(self, capsys):
+        code, out, err = run(capsys, "validate", "--semiring", "S7_0", "--json")
+        assert (code, err) == (0, "")
+        assert out == (
+            '{\n  "valid": true,\n  "elements": [\n    "1",\n    "a",\n    "0",\n    "∞"\n  ]\n}\n'
+        )
+
     def test_axiom_violation_exits_one(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(
@@ -1292,18 +1347,16 @@ class TestMalformedFiles:
 
 class TestCrossval:
     def test_clean_run(self, capsys):
-        code, out, _ = run(
-            capsys,
-            "crossval",
-            "--semiring",
-            "S7",
-            "--samples",
-            "200",
-            "--seed",
-            "9",
-        )
-        assert code == 0
-        assert "disagreements: 0" in out
+        for name, samples, seed in (("S7", 200, 9), ("S7_0", 20, 1)):
+            code, out, _ = run(
+                capsys, "crossval", "--semiring", name, "--samples", str(samples), "--seed", str(seed)
+            )
+            assert (code, out) == (
+                0,
+                f"semiring: {name}\nsamples: {samples}  seed: {seed}\n"
+                "bounds: max_vars=4 max_words=4 max_word_len=4 commutative=False\n"
+                "disagreements: 0\n",
+            )
 
     def test_json_bytes(self, capsys):
         code, out, err = run(capsys, "crossval", "--semiring", "S7_0", "--samples", "3", "--json")

@@ -699,6 +699,33 @@ class TestLift:
         assert not v.holds
         assert v.details["clause"] == "empty-cover"
 
+    @pytest.mark.parametrize(
+        "decide, text, reason",
+        [
+            (
+                holds_s7_0,
+                "x + y == x + y + x*y*z",
+                "component x + y == x + y + x*y*z: on the cover x + y, "
+                "content mismatch, only on one side: z",
+            ),
+            (
+                holds_s7_0,
+                "x*y == x*y + x*y*x",
+                "component x*y == x*y + x*y*x: on the cover x*y, "
+                "delta-set mismatch, separating set {x}",
+            ),
+            (
+                partial(holds_s0_lift, lambda ident: Verdict(False)),
+                "x + y == x + y + x*y*z",
+                "component x + y == x + y + x*y*z: on the cover x + y, the base decider fails",
+            ),
+        ],
+        ids=["content", "delta", "no-base-reason"],
+    )
+    def test_failure_reason_names_the_cover_and_the_base_reason(self, decide, text, reason):
+        # the base's own reason follows the cover; a base giving none is named
+        assert decide(parse_identity(text)).reason == reason
+
     def test_base_failure_embeds_verdict(self):
         v = holds_s0_lift(partial(holds_bruteforce, S7), SQUARE_PADDING)
         assert not v.holds

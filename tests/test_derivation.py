@@ -531,6 +531,25 @@ class TestApplyStep:
                 f"capped by STEP_WORD_CAP: {built} words or more to build, limit {built - 1}"
             )
 
+    def test_step_word_cap_counts_a_word_past_the_cap(self, monkeypatch):
+        # x*y*z's product reaches the cap, 4, at y and passes it at z: the
+        # word counts 8, not the 4 at which a count stopping at the cap
+        # would leave it (and pass the cap only with phi(x)'s 2 words)
+        sigma = AxiomSet([("long", parse_identity("x*y*z == x"))])
+        phi = {v: parse_term(f"{v}1 + {v}2") for v in "xyz"}
+        monkeypatch.setattr(derivation, "STEP_WORD_CAP", 4)
+        with pytest.raises(SizeLimitError) as info:
+            apply_step(parse_term("a"), DerivationStep("long", "forward", phi), sigma)
+        assert str(info.value) == "capped by STEP_WORD_CAP: 8 words or more to build, limit 4"
+
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_uncovered_variable_of_one_side_is_named(self, direction):
+        sigma = AxiomSet([("drop", parse_identity("x*y == x"))])
+        bad = DerivationStep("drop", direction, {"x": parse_term("z")})
+        with pytest.raises(ValueError) as info:
+            apply_step(parse_term("z"), bad, sigma)
+        assert str(info.value) == "substitution does not cover axiom variables: y"
+
     def test_benchmark_derive_search_chains_stay_below_the_step_word_cap(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -599,6 +618,20 @@ class TestVerifyChain:
     def test_chain_word_cap_sums_the_steps_before_any_is_replayed(self, monkeypatch):
         # each step builds x, x and x*x: one word each, as phi(x) is one word
         chain = self.two_step_chain()
+        monkeypatch.setattr(derivation, "CHAIN_WORD_CAP", 6)
+        assert verify_chain(chain, SIGMA).ok
+        monkeypatch.setattr(derivation, "CHAIN_WORD_CAP", 5)
+        with mock.patch.object(derivation, "apply_step") as replay:
+            with pytest.raises(SizeLimitError) as info:
+                verify_chain(chain, SIGMA)
+        replay.assert_not_called()
+        assert str(info.value) == "capped by CHAIN_WORD_CAP: 6 words or more to build, limit 5"
+
+    def test_steps_of_exactly_step_word_cap_words_count(self, monkeypatch):
+        # each step builds 3 words, which STEP_WORD_CAP = 3 lets through, so
+        # both count toward CHAIN_WORD_CAP
+        chain = self.two_step_chain()
+        monkeypatch.setattr(derivation, "STEP_WORD_CAP", 3)
         monkeypatch.setattr(derivation, "CHAIN_WORD_CAP", 6)
         assert verify_chain(chain, SIGMA).ok
         monkeypatch.setattr(derivation, "CHAIN_WORD_CAP", 5)

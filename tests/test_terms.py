@@ -525,6 +525,29 @@ class TestParityClasses:
         monkeypatch.setattr(terms_module, "DELTA_WORK_CAP", 400_000)
         assert delta_sets(u) == {frozenset({x}) for x in letters}
 
+    @pytest.mark.parametrize(
+        "words, steps, family",
+        [
+            # 2 words read; x*z*w's 3 classes checked against the one empty
+            # assignment, which they extend 3 ways; 3 members to list:
+            # 2 + (3 + 3) + 3
+            ([("x", "y"), ("x", "z", "w")], 11, {"x", "yz", "yw"}),
+            # 3 words read, w forced; x*y*z as above; x*y*z*w's 4 classes
+            # checked against each of the 3 assignments, none kept, so the
+            # search ends at that word's last check: 3 + (3 + 3) + 3 * 4
+            ([("w",), ("x", "y", "z"), ("x", "y", "z", "w")], 21, set()),
+        ],
+        ids=["members", "no-member"],
+    )
+    def test_each_step_counts_up_to_the_cap(self, monkeypatch, words, steps, family):
+        u = Term(words)
+        monkeypatch.setattr(terms_module, "DELTA_WORK_CAP", steps)
+        assert terms_module._exact_covers(u) == {frozenset(z) for z in family}
+        monkeypatch.setattr(terms_module, "DELTA_WORK_CAP", steps - 1)
+        with pytest.raises(SizeLimitError) as caught:
+            terms_module._exact_covers(u)
+        assert (caught.value.done, caught.value.limit) == (steps, steps - 1)
+
     def test_the_cap_falls_between_17_and_18_disjoint_edges(self):
         # k edges cost k words read and 2^k members: 131,089 steps for 17,
         # 262,162 for 18, counted before any member is listed
